@@ -1,15 +1,6 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
-//! ```text
-//! experiments [--scale N] [--only figNN|tableN] [--csv] [--no-cache]
-//!             [--run-out DIR] [--live] [--jobs N]
-//! experiments [--scale N] [--only bench] [--trace-events] [--profile]
-//!             [--sample-interval N] [--attribution] [--telemetry-out DIR]
-//!             [--commit-trace N]
-//! experiments [--scale N] [--only bench] --capture-trace DIR
-//! experiments [--only bench] [--csv] [--no-cache] [--run-out DIR]
-//!             [--jobs N] [--attribution] --replay-trace DIR
-//! ```
+//! The usage is [`USAGE`], which `--help` prints.
 //!
 //! Results are memoized on disk (default `target/wec-result-cache`,
 //! override with `WEC_RESULT_CACHE`), so a rerun at the same scale and
@@ -83,6 +74,17 @@ use wec_core::config::ProcPreset;
 use wec_telemetry::{Phase, TelemetryConfig};
 use wec_workloads::{run_and_verify, Bench, Scale};
 
+const USAGE: &str = "\
+usage: experiments [--scale N] [--only figNN|tableN] [--csv] [--no-cache]
+                   [--run-out DIR] [--live] [--jobs N]
+       experiments [--scale N] [--only bench] [--trace-events] [--profile]
+                   [--sample-interval N] [--attribution] [--telemetry-out DIR]
+                   [--commit-trace N]
+       experiments [--scale N] [--only bench] --capture-trace DIR
+       experiments [--only bench] [--csv] [--no-cache] [--run-out DIR]
+                   [--jobs N] [--attribution] --replay-trace DIR
+";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::PAPER;
@@ -104,6 +106,10 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return;
+            }
             "--capture-trace" => {
                 capture_trace = Some(it.next().expect("--capture-trace DIR").into())
             }
@@ -228,36 +234,6 @@ fn main() {
         );
     }
 
-    eprintln!(
-        "building the workload suite (scale units = {})…",
-        scale.units
-    );
-    let t0 = std::time::Instant::now();
-    let suite = Suite::build(scale);
-    eprintln!(
-        "built in {:.1}s; running experiments…",
-        t0.elapsed().as_secs_f64()
-    );
-    let mut runner = if no_cache {
-        Runner::without_disk_cache(&suite)
-    } else {
-        Runner::new(&suite)
-    };
-    if let Some(dir) = runner.disk_dir() {
-        eprintln!("result cache: {}", dir.display());
-    }
-    if let Some(n) = jobs {
-        runner.set_hosts(n);
-        eprintln!("sweep workers: {n} (--jobs)");
-    }
-    let progress = Arc::new(
-        Progress::new(run_out.as_deref(), live).expect("cannot create --run-out directory"),
-    );
-    runner.set_observer(progress.clone());
-    if let Some(dir) = progress.run_dir() {
-        eprintln!("run artifacts: {}", dir.display());
-    }
-
     let selected: Vec<(&str, TableFn)> = vec![
         (
             "table1",
@@ -288,6 +264,49 @@ fn main() {
             Box::new(wec_bench::ablations::branch_prediction),
         ),
     ];
+    if let Some(filter) = &only {
+        if !selected
+            .iter()
+            .any(|(name, _)| name.contains(filter.as_str()))
+        {
+            let names: Vec<&str> = selected.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "--only {filter:?} matches no table or figure (names: {})",
+                names.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+
+    eprintln!(
+        "building the workload suite (scale units = {})…",
+        scale.units
+    );
+    let t0 = std::time::Instant::now();
+    let suite = Suite::build(scale);
+    eprintln!(
+        "built in {:.1}s; running experiments…",
+        t0.elapsed().as_secs_f64()
+    );
+    let mut runner = if no_cache {
+        Runner::without_disk_cache(&suite)
+    } else {
+        Runner::new(&suite)
+    };
+    if let Some(dir) = runner.disk_dir() {
+        eprintln!("result cache: {}", dir.display());
+    }
+    if let Some(n) = jobs {
+        runner.set_hosts(n);
+        eprintln!("sweep workers: {n} (--jobs)");
+    }
+    let progress = Arc::new(
+        Progress::new(run_out.as_deref(), live).expect("cannot create --run-out directory"),
+    );
+    runner.set_observer(progress.clone());
+    if let Some(dir) = progress.run_dir() {
+        eprintln!("run artifacts: {}", dir.display());
+    }
 
     let mut tables_run: Vec<String> = Vec::new();
     for (name, f) in &selected {

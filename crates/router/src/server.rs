@@ -1,8 +1,9 @@
-//! The router's accept loop, request routing, and graceful drain.
+//! The router's request routing and graceful drain.
 //!
-//! Same concurrency shape as the serve daemon it fronts: a nonblocking
-//! listener polled every 20 ms, one short-lived thread per connection,
-//! one request per connection (`Connection: close`).  A background
+//! Same concurrency shape as the serve daemon it fronts, through the same
+//! [`wec_serve::listen`] accept loop: woken as soon as a connection is
+//! ready, one short-lived thread per connection, one request per
+//! connection (`Connection: close`).  A background
 //! health thread probes every backend's `/healthz` on a fixed interval;
 //! connection threads only *read* ring state (plus failure bookkeeping
 //! on exchanges they themselves attempted), so routing never blocks on
@@ -45,45 +46,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wec_serve::http::{self, Request};
-use wec_serve::JobSpec;
-use wec_telemetry::json::escape_into;
+use wec_serve::http::{self, error_json, method_not_allowed, reply_head, reply_json, Request};
+use wec_serve::{listen, JobSpec};
 
 use crate::client::{self, Response};
 use crate::ring::Backend;
 use crate::state::{decode_id, rewrite_record_id, RouterConfig, RouterState};
-
-/// Set by the SIGTERM/SIGINT handler; folded into the drain flag by the
-/// accept loop (the serve crate's handler stores into its own static, so
-/// the router carries its own).
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Route SIGTERM and SIGINT into a graceful drain.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
-
-fn error_json(msg: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    escape_into(&mut out, msg);
-    out.push('}');
-    out
-}
 
 /// The router: a bound listener plus its health thread.
 pub struct Router {
@@ -129,36 +97,23 @@ impl Router {
     /// open connection has finished, then stop the health thread and
     /// write `router.json`.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            if TERMINATE.load(Ordering::SeqCst) {
-                self.state.draining.store(true, Ordering::SeqCst);
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let st = self.state.clone();
-                    st.inflight.fetch_add(1, Ordering::SeqCst);
-                    let _ = std::thread::Builder::new()
-                        .name("wec-router-conn".to_string())
-                        .spawn(move || {
-                            handle_conn(&st, stream, peer);
-                            st.inflight.fetch_sub(1, Ordering::SeqCst);
-                        });
+        let state = &self.state;
+        listen::accept_loop(
+            &self.listener,
+            "wec-router",
+            &state.draining,
+            || state.inflight.load(Ordering::SeqCst) == 0,
+            |stream, peer| {
+                // Counted before the thread starts, so drain cannot slip
+                // between this accept and the connection's first byte.
+                let st = state.clone();
+                st.inflight.fetch_add(1, Ordering::SeqCst);
+                move || {
+                    handle_conn(&st, stream, peer);
+                    st.inflight.fetch_sub(1, Ordering::SeqCst);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.draining.load(Ordering::SeqCst)
-                        && self.state.inflight.load(Ordering::SeqCst) == 0
-                    {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("wec-router: accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
+            },
+        );
         self.health_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.health {
             let _ = h.join();
@@ -208,7 +163,7 @@ fn handle_conn(state: &Arc<RouterState>, stream: TcpStream, peer: SocketAddr) {
         Err(e) => {
             if let Some(msg) = e.client_message() {
                 state.requests.fetch_add(1, Ordering::SeqCst);
-                let _ = http::write_json(&mut w, 400, "Bad Request", &error_json(msg));
+                let _ = reply_json(&mut w, 400, "Bad Request", &error_json(msg));
             }
         }
     }
@@ -270,28 +225,6 @@ fn route<W: Write>(
             None => reply_json(w, 404, "Not Found", &error_json("no such endpoint")),
         },
     }
-}
-
-fn reply_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<u16> {
-    http::write_json(w, status, reason, body)?;
-    Ok(status)
-}
-
-fn reply_head<W: Write>(w: &mut W, body: &str) -> io::Result<u16> {
-    http::write_head_only(w, 200, "OK", "application/json", body.len())?;
-    Ok(200)
-}
-
-fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
-    http::write_response(
-        w,
-        405,
-        "Method Not Allowed",
-        "application/json",
-        error_json("method not allowed").as_bytes(),
-        &[("Allow", allow.to_string())],
-    )?;
-    Ok(405)
 }
 
 fn reply_503<W: Write>(

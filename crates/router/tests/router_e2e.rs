@@ -700,3 +700,110 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":false}"));
     drain_router(raddr, hr);
 }
+
+#[test]
+fn deeply_nested_json_gets_400_at_the_router_and_it_survives() {
+    let (fake, posts) = fake_backend(|_| {
+        "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n".to_string()
+    });
+    let (_state, raddr, hr) = start_router(router_cfg(vec![fake]));
+    let (s, body) = request(raddr, "POST", "/jobs", Some(&"[".repeat(600_000)));
+    assert_eq!(s, 400, "{body}");
+    assert_eq!(posts.load(Ordering::SeqCst), 0);
+    let (s, _) = request(raddr, "GET", "/healthz", None);
+    assert_eq!(s, 200);
+    drain_router(raddr, hr);
+}
+
+/// Median wall time of `n` sequential `GET path` round trips.
+fn median_get_ms(addr: SocketAddr, path: &str, n: usize) -> f64 {
+    let mut ms: Vec<f64> = (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            let (s, body) = request(addr, "GET", path, None);
+            assert_eq!(s, 200, "{body}");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[n / 2]
+}
+
+#[test]
+fn idle_router_answers_without_waiting_out_either_accept_timer() {
+    let (baddr, hb) = start_backend(backend_cfg(None));
+    let (_state, raddr, hr) = start_router(router_cfg(vec![baddr.to_string()]));
+    // Answered by the router alone.
+    let median = median_get_ms(raddr, "/healthz", 20);
+    assert!(median < 10.0, "median router /healthz {median:.2} ms");
+    // Proxied: each round trip crosses the router's accept loop and the
+    // backend's.
+    let (s, resp) = request(
+        raddr,
+        "POST",
+        "/jobs",
+        Some("{\"bench\": \"181.mcf\", \"scale\": 1}"),
+    );
+    assert_eq!(s, 200, "{resp}");
+    let id = u64_at(&json::parse(&resp).unwrap(), &["id"]);
+    poll_terminal(raddr, id);
+    let median = median_get_ms(raddr, &format!("/jobs/{id}"), 20);
+    assert!(median < 10.0, "median proxied record GET {median:.2} ms");
+    drain_router(raddr, hr);
+    drain_backend(baddr, hb);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_router_binary() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let (baddr, hb) = start_backend(backend_cfg(None));
+    let logs = scratch("sigterm-logs");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wec_router"))
+        .args(["--addr", "127.0.0.1:0", "--backend", &baddr.to_string()])
+        .arg("--log-dir")
+        .arg(&logs)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let raddr: SocketAddr = banner
+        .strip_prefix("wec-router listening on ")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .parse()
+        .unwrap();
+    // Keep reading so the router never blocks on a full pipe.
+    let rest = std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let (s, _) = request(raddr, "GET", "/healthz", None);
+    assert_eq!(s, 200);
+
+    // SAFETY: `kill` takes two plain integers; the pid is our own child,
+    // not yet reaped.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("wec_router did not drain within 30 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "{status}");
+    let _ = rest.join();
+    let router_json = std::fs::read_to_string(logs.join("router.json")).unwrap();
+    schema::validate_router_stats_json(&router_json).unwrap();
+    drain_backend(baddr, hb);
+}

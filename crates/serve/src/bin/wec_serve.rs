@@ -43,7 +43,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use wec_serve::server::install_signal_handlers;
+use wec_serve::listen::install_signal_handlers;
 use wec_serve::{ServeConfig, Server, SpecConfig};
 
 fn main() {

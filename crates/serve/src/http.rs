@@ -10,6 +10,8 @@
 
 use std::io::{self, BufRead, Write};
 
+use wec_telemetry::json::escape_into;
+
 /// Longest accepted request line (method + path + version).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// Longest accepted single header line.
@@ -192,9 +194,39 @@ pub fn write_response<W: Write>(
     w.flush()
 }
 
-/// Convenience: a JSON response.
-pub fn write_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<()> {
-    write_response(w, status, reason, "application/json", body.as_bytes(), &[])
+/// A JSON response.  Returns the status written, which handlers pass back
+/// for the request metrics and the access log.
+pub fn reply_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<u16> {
+    write_response(w, status, reason, "application/json", body.as_bytes(), &[])?;
+    Ok(status)
+}
+
+/// The `HEAD` twin of a JSON `GET`: same status and `Content-Length`, no
+/// body bytes.
+pub fn reply_head<W: Write>(w: &mut W, body: &str) -> io::Result<u16> {
+    write_head_only(w, 200, "OK", "application/json", body.len())?;
+    Ok(200)
+}
+
+/// A `405` whose `Allow` header lists `allow`.
+pub fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
+    write_response(
+        w,
+        405,
+        "Method Not Allowed",
+        "application/json",
+        error_json("method not allowed").as_bytes(),
+        &[("Allow", allow.to_string())],
+    )?;
+    Ok(405)
+}
+
+/// The `{"error": …}` body of every error answer.
+pub fn error_json(msg: &str) -> String {
+    let mut out = String::from("{\"error\":");
+    escape_into(&mut out, msg);
+    out.push('}');
+    out
 }
 
 /// Write the response a `HEAD` request gets: the exact status line and
@@ -430,7 +462,7 @@ mod tests {
         let mut sink = Vec::new();
         let n = {
             let mut cw = CountingWriter::new(&mut sink);
-            write_json(&mut cw, 200, "OK", "{}").unwrap();
+            reply_json(&mut cw, 200, "OK", "{}").unwrap();
             cw.bytes_written()
         };
         assert_eq!(n as usize, sink.len());

@@ -21,9 +21,11 @@
 //!   [`wec_bench::Runner`] (same persistent result store, byte-identical
 //!   cache entries) and replay jobs through
 //!   [`wec_bench::tracerun::replay_point`], panics become failed jobs;
-//! * [`server`] — the accept loop, routing, the `/jobs/<id>/events`
-//!   progress stream (chunked, `progress.jsonl` schema), and graceful
-//!   drain on SIGTERM / `POST /shutdown`;
+//! * [`listen`] — the accept loop shared with `wec_router`: it waits in
+//!   `poll(2)` for the next connection, hands each one to its own thread,
+//!   and turns SIGTERM/SIGINT and `POST /shutdown` into a graceful drain;
+//! * [`server`] — routing, the `/jobs/<id>/events` progress stream
+//!   (chunked, `progress.jsonl` schema), and graceful drain;
 //! * [`metrics`] — per-endpoint HTTP request/latency counters and the
 //!   `GET /metrics` Prometheus-style exposition;
 //! * [`ringbuf`] — the fixed-capacity sample ring behind the dashboard
@@ -43,6 +45,7 @@
 pub mod dashboard;
 pub mod http;
 pub mod job;
+pub mod listen;
 pub mod metrics;
 pub mod predict;
 pub mod queue;

@@ -1,11 +1,12 @@
-//! The accept loop, request routing, and graceful drain.
+//! Request routing and graceful drain.
 //!
-//! The daemon is deliberately boring concurrency: a nonblocking listener
-//! polled every 20 ms, one short-lived thread per connection (one request
-//! per connection, `Connection: close`), and the long-lived worker pool
-//! behind the queue.  Drain — `POST /shutdown` or SIGTERM/SIGINT — flips
-//! one flag: submissions start answering `503`, the accept loop waits for
-//! the outstanding-job count to reach zero, closes the queue, joins the
+//! The daemon is deliberately boring concurrency: the shared
+//! [`crate::listen`] accept loop, which wakes as soon as a connection is
+//! ready, one short-lived thread per connection (one request per
+//! connection, `Connection: close`), and the long-lived worker pool behind
+//! the queue.  Drain — `POST /shutdown` or SIGTERM/SIGINT — flips one
+//! flag: submissions start answering `503`, the accept loop waits for the
+//! outstanding-job count to reach zero, closes the queue, joins the
 //! workers and the sampler, writes `stats.json`, and [`Server::run`]
 //! returns.
 //!
@@ -34,54 +35,23 @@
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wec_telemetry::json::escape_into;
-
 use crate::dashboard;
-use crate::http::{self, ChunkedWriter, CountingWriter, Request};
+use crate::http::{
+    self, error_json, method_not_allowed, reply_head, reply_json, ChunkedWriter, CountingWriter,
+    Request,
+};
 use crate::job::JobState;
+use crate::listen;
 use crate::lock;
 use crate::metrics::endpoint_index;
 use crate::ringbuf::{sample_from, SampleCursor};
 use crate::state::{ServeConfig, ServerState, SubmitError};
 use crate::worker;
-
-/// Set by the SIGTERM/SIGINT handler; the accept loop folds it into the
-/// drain flag on its next poll.
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Route SIGTERM and SIGINT into a graceful drain.  Raw `signal(2)` via
-/// the C runtime already linked into every binary — the workspace carries
-/// no libc crate, and a handler that stores one atomic is async-safe.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
-
-fn error_json(msg: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    escape_into(&mut out, msg);
-    out.push('}');
-    out
-}
 
 /// The daemon: a bound listener plus its worker pool and sampler.
 pub struct Server {
@@ -127,36 +97,23 @@ impl Server {
     /// accepted job is terminal, then close the queue, join the workers
     /// and the sampler, and write the exit logs.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            if TERMINATE.load(Ordering::SeqCst) {
-                self.state.draining.store(true, Ordering::SeqCst);
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let st = self.state.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("wec-serve-conn".to_string())
-                        .spawn(move || handle_conn(st, stream, peer));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.draining.load(Ordering::SeqCst) {
-                        // Queued speculation would hold `outstanding` up
-                        // forever once demand stops; reclaim it so drain
-                        // only waits on real work.
-                        self.state.purge_speculation();
-                        if self.state.outstanding() == 0 {
-                            break;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("wec-serve: accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
+        let state = &self.state;
+        listen::accept_loop(
+            &self.listener,
+            "wec-serve",
+            &state.draining,
+            || {
+                // Queued speculation would hold `outstanding` up forever
+                // once demand stops; reclaim it so drain only waits on
+                // real work.
+                state.purge_speculation();
+                state.outstanding() == 0
+            },
+            |stream, peer| {
+                let st = state.clone();
+                move || handle_conn(st, stream, peer)
+            },
+        );
         self.state.queue.close();
         for h in self.workers {
             let _ = h.join();
@@ -233,7 +190,7 @@ fn handle_conn(state: Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
             // Malformed input gets a 400; transport errors and clean
             // closes get nothing (there is no one left to answer).
             if let Some(msg) = e.client_message() {
-                let ok = http::write_json(&mut w, 400, "Bad Request", &error_json(msg)).is_ok();
+                let ok = reply_json(&mut w, 400, "Bad Request", &error_json(msg)).is_ok();
                 let _ = w.flush();
                 if ok {
                     let dur_us = t.elapsed().as_micros() as u64;
@@ -326,30 +283,6 @@ fn route<W: Write>(
             None => reply_json(w, 404, "Not Found", &error_json("no such endpoint")),
         },
     }
-}
-
-fn reply_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<u16> {
-    http::write_json(w, status, reason, body)?;
-    Ok(status)
-}
-
-/// The `HEAD` twin of a JSON `GET`: same status and `Content-Length`, no
-/// body bytes.
-fn reply_head<W: Write>(w: &mut W, body: &str) -> io::Result<u16> {
-    http::write_head_only(w, 200, "OK", "application/json", body.len())?;
-    Ok(200)
-}
-
-fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
-    http::write_response(
-        w,
-        405,
-        "Method Not Allowed",
-        "application/json",
-        error_json("method not allowed").as_bytes(),
-        &[("Allow", allow.to_string())],
-    )?;
-    Ok(405)
 }
 
 fn submit<W: Write>(

@@ -336,6 +336,9 @@ fn head_probes_match_get_and_healthz_reports_draining() {
     });
 
     // HEAD answers with the GET's exact framing and zero body bytes.
+    // `/stats` embeds `uptime_ms`, so probe once it has four digits: a
+    // GET/HEAD pair then cannot straddle a change in its width.
+    std::thread::sleep(Duration::from_secs(1));
     for path in ["/healthz", "/stats"] {
         let (gs, get_body) = request(addr, "GET", path, None);
         assert_eq!(gs, 200);

@@ -303,3 +303,113 @@ fn shutdown_drains_inflight_work_and_writes_validated_logs() {
     assert_eq!(v.get("draining").unwrap().as_bool(), Some(true));
     assert_eq!(u64_at(&v, &["jobs", "completed"]), 1);
 }
+
+#[test]
+fn deeply_nested_json_gets_400_and_the_daemon_survives() {
+    let (_state, addr, handle) = start(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        store: None,
+        log_dir: None,
+        ..ServeConfig::default()
+    });
+    // About 600 KB of `[` fits under MAX_BODY; parsed without a depth
+    // limit it would overflow the connection thread's stack and abort the
+    // whole daemon.
+    let (s, body) = request(addr, "POST", "/jobs", Some(&"[".repeat(600_000)));
+    assert_eq!(s, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (s, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(s, 200);
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    handle.join().unwrap().unwrap();
+}
+
+/// Median wall time of `n` sequential `GET path` round trips.
+fn median_get_ms(addr: SocketAddr, path: &str, n: usize) -> f64 {
+    let mut ms: Vec<f64> = (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            let (s, body) = request(addr, "GET", path, None);
+            assert_eq!(s, 200, "{body}");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms[n / 2]
+}
+
+#[test]
+fn idle_daemon_answers_healthz_without_waiting_out_the_accept_timer() {
+    let (_state, addr, handle) = start(ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        store: None,
+        log_dir: None,
+        sample_interval: Duration::ZERO,
+        ..ServeConfig::default()
+    });
+    // Each request arrives just after the accept loop went idle again, so
+    // it is answered fast only if the connection itself wakes the loop.
+    let median = median_get_ms(addr, "/healthz", 20);
+    assert!(median < 10.0, "median /healthz {median:.2} ms");
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    handle.join().unwrap().unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_the_daemon_binary() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let logs = scratch("sigterm-logs");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wec_serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1", "--no-store"])
+        .arg("--log-dir")
+        .arg(&logs)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner
+        .strip_prefix("wec-serve listening on ")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .parse()
+        .unwrap();
+    // Keep reading so the daemon never blocks on a full pipe.
+    let rest = std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let (s, _) = request(addr, "GET", "/healthz", None);
+    assert_eq!(s, 200);
+
+    // SAFETY: `kill` takes two plain integers; the pid is our own child,
+    // not yet reaped.
+    assert_eq!(unsafe { kill(child.id() as i32, SIGTERM) }, 0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("wec_serve did not drain within 30 s of SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "{status}");
+    let _ = rest.join();
+    let stats = std::fs::read_to_string(logs.join("stats.json")).unwrap();
+    schema::validate_serve_stats_json(&stats).unwrap();
+    let v = json::parse(&stats).unwrap();
+    assert_eq!(v.get("draining").unwrap().as_bool(), Some(true));
+}

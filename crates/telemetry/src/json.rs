@@ -71,12 +71,19 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest.  The parser recurses once per
+/// level, so without a limit a body of a few hundred kilobytes of `[`
+/// would overflow the parsing thread's stack; past the limit `parse`
+/// returns `Err` instead.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting deeper than [`MAX_DEPTH`] rejected).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -109,6 +116,8 @@ pub fn escape_into(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -151,8 +160,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -164,6 +173,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -323,5 +347,22 @@ mod tests {
         assert_eq!(parse("4096").unwrap().as_u64(), Some(4096));
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-2").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_limited_not_stack_bound() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let obj = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&obj).is_err());
+        // Far past any stack: an error, never an overflow.
+        assert!(parse(&"[".repeat(600_000)).is_err());
+        assert!(parse(&"[{\"a\":".repeat(300_000)).is_err());
     }
 }

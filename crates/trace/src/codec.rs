@@ -69,6 +69,11 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
+
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], TraceError> {
         let end = self
             .pos

@@ -33,6 +33,8 @@ use crate::TraceError;
 
 pub const MAGIC: [u8; 8] = *b"WECTRACE";
 pub const FORMAT_VERSION: u32 = 1;
+/// Bytes of one block's header: record count, byte count, checksum.
+const BLOCK_HEADER_BYTES: usize = 4 + 4 + 8;
 
 /// Identity and provenance of a capture.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,7 +164,10 @@ impl Trace {
             let records = c.get_u64("stream record count")?;
             let checksum = c.get_u64("stream checksum")?;
             let n_blocks = c.get_u32("block count")?;
-            let mut blocks = Vec::with_capacity(n_blocks as usize);
+            // The count is untrusted: reserve no more blocks than the
+            // remaining bytes could hold headers for.
+            let fit = c.remaining() / BLOCK_HEADER_BYTES;
+            let mut blocks = Vec::with_capacity((n_blocks as usize).min(fit));
             for _ in 0..n_blocks {
                 let brecords = c.get_u32("block record count")?;
                 let n_bytes = c.get_u32("block byte count")?;
@@ -348,6 +353,48 @@ mod tests {
         assert_eq!(back.streams, t.streams);
         assert_eq!(back.verify().unwrap(), t.header.total_records);
         assert_eq!(back.identity(), t.identity());
+    }
+
+    /// Re-seal `body` (everything but the file checksum) as a trace file.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body);
+        put_u64(&mut body, sum);
+        body
+    }
+
+    #[test]
+    fn hostile_counts_fail_without_huge_allocations() {
+        let mut t = sample_trace();
+        t.streams.truncate(1);
+        t.header.n_tus = 1;
+        let bytes = t.to_bytes();
+        let body = &bytes[..bytes.len() - 8];
+        // The stream's fields follow the header: records (8), checksum
+        // (8), then the block count this test overwrites.
+        let blocks: usize = t.streams[0].blocks.iter().map(|b| 16 + b.bytes.len()).sum();
+        let at = body.len() - blocks - 4;
+        let mut hostile = body.to_vec();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Trace::from_bytes(&sealed(hostile)),
+            Err(TraceError::Truncated(_))
+        ));
+        // A short file whose only stream claims u32::MAX blocks.
+        let mut short = body[..at].to_vec();
+        short.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Trace::from_bytes(&sealed(short)).is_err());
+        // A stream record count of u64::MAX decodes to a count mismatch
+        // in the slab builder, not an allocation of that many records.
+        let mut lying = body.to_vec();
+        lying[at - 16..at - 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let t = Trace::from_bytes(&sealed(lying)).unwrap();
+        assert!(crate::TraceSlab::build(&t, 1).is_err());
+        // A block claiming more records than a capture ever seals is
+        // refused before decoding, so runs cannot expand it to 2^32.
+        let mut block_lie = body.to_vec();
+        block_lie[at + 4..at + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let t = Trace::from_bytes(&sealed(block_lie)).unwrap();
+        assert!(crate::TraceSlab::build(&t, 1).is_err());
     }
 
     #[test]

@@ -167,11 +167,13 @@ fn decode_streams(trace: &Trace, jobs: usize) -> Result<Vec<Vec<TraceRecord>>, T
     // Stitch blocks back into per-TU streams (work is in (stream, block)
     // order, so a plain sequential append reassembles each stream) and run
     // the stream-level integrity checks the streaming decoder enforces.
-    let mut streams: Vec<Vec<TraceRecord>> = trace
-        .streams
-        .iter()
-        .map(|s| Vec::with_capacity(s.records as usize))
-        .collect();
+    // Sized from what actually decoded, never from the header's untrusted
+    // record counts.
+    let mut lens = vec![0usize; trace.streams.len()];
+    for (&(si, _), block) in work.iter().zip(&decoded) {
+        lens[si] += block.len();
+    }
+    let mut streams: Vec<Vec<TraceRecord>> = lens.into_iter().map(Vec::with_capacity).collect();
     for (&(si, _), mut block) in work.iter().zip(decoded) {
         streams[si].append(&mut block);
     }

@@ -288,6 +288,14 @@ impl<'a> BlockDecoder<'a> {
         if fnv1a(&block.bytes) != block.checksum {
             return Err(TraceError::Corrupt("block byte checksum mismatch".into()));
         }
+        // The encoder never seals more; a larger count is hostile (a few
+        // bytes of run opcodes could otherwise expand to 2^32 records).
+        if block.records as usize > BLOCK_RECORDS {
+            return Err(TraceError::Corrupt(format!(
+                "block claims {} records, more than {BLOCK_RECORDS}",
+                block.records
+            )));
+        }
         Ok(BlockDecoder {
             cur: Cursor::new(&block.bytes),
             left: block.records,
