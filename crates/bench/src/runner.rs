@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use wec_common::hash::{fnv1a, FNV_OFFSET};
 use wec_core::config::{MachineConfig, ProcPreset};
 use wec_core::metrics::MachineMetrics;
 use wec_cpu::bpred::BpredKind;
@@ -150,17 +151,6 @@ impl CfgKey {
         cfg.apply_preset(self.preset);
         cfg
     }
-}
-
-/// FNV-1a over a byte string; stable across runs and platforms, unlike the
-/// std hasher.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// How a requested (benchmark, configuration) point was satisfied.
@@ -383,7 +373,8 @@ impl<'a> Runner<'a> {
         let name = self.suite.workloads[bench_idx].name;
         let scale = self.suite.scale.units;
         let id = format!("{name}|{scale}|{key:?}|rev{}", wec_core::SIM_REVISION);
-        Some(dir.join(format!("{name}_{scale}_{:016x}.kv", fnv1a(id.as_bytes()))))
+        let hash = fnv1a(FNV_OFFSET, id.as_bytes());
+        Some(dir.join(format!("{name}_{scale}_{hash:016x}.kv")))
     }
 
     /// Read a point from the disk store.  Unreadable or unparsable files

@@ -27,6 +27,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use wec_common::hash::{fnv1a, FNV_OFFSET};
 use wec_common::table::Table;
 use wec_core::config::ProcPreset;
 use wec_telemetry::attr::AttributionReport;
@@ -36,7 +37,7 @@ use wec_trace::{
 };
 use wec_workloads::{Bench, Scale};
 
-use crate::runner::{default_disk_dir, fnv1a, CfgKey};
+use crate::runner::{default_disk_dir, CfgKey};
 
 /// TU count every capture uses (the §5.2 paper machine).
 pub const CAPTURE_TUS: usize = 8;
@@ -202,7 +203,8 @@ pub fn replay_point(
         key.label(),
         wec_core::SIM_REVISION
     );
-    let path = cache_dir.map(|d| d.join(format!("trace_{:016x}.kv", fnv1a(id.as_bytes()))));
+    let hash = fnv1a(FNV_OFFSET, id.as_bytes());
+    let path = cache_dir.map(|d| d.join(format!("trace_{hash:016x}.kv")));
     if let Some(p) = &path {
         if let Some(subset) = std::fs::read_to_string(p)
             .ok()

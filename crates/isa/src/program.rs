@@ -141,12 +141,17 @@ impl MemImage {
         self.write_u64(addr, value.to_bits())
     }
 
-    /// FNV-1a checksum over all mapped pages in address order.  Two images
-    /// with identical mapped contents (including mapping) have equal sums.
+    /// Checksum over all mapped pages in address order.  Two images with
+    /// identical mapped contents (including mapping) have equal sums.
+    ///
+    /// FNV-1a in shape, but its multiplier `0x1000_0000_01b3` is not the
+    /// FNV prime (`0x100_0000_01b3`), so it is not
+    /// [`wec_common::hash::fnv1a`].  The sum is the `checksum` counter of
+    /// every result-store entry and golden, so the multiplier stays.
     pub fn checksum(&self) -> u64 {
         let mut keys: Vec<u64> = self.pages.keys().copied().collect();
         keys.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = wec_common::hash::FNV_OFFSET;
         let mut eat = |byte: u8| {
             h ^= byte as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);

@@ -11,16 +11,13 @@
 //! drained) is answered from disk instead of recomputed.
 //!
 //! Same house style as the serve daemon it fronts: std-only, no async
-//! runtime, no HTTP library — hand-rolled framing ([`wec_serve::http`] on
-//! the inbound side, [`client`] on the outbound side), the shared
-//! [`wec_serve::listen`] accept loop that wakes as soon as a connection is
-//! ready, one short-lived thread per connection.
+//! runtime, no HTTP library — [`wec_serve::http`] frames both the inbound
+//! requests and the outbound backend calls (the router has no client of
+//! its own), the shared [`wec_serve::listen`] accept loop that wakes as
+//! soon as a connection is ready, one short-lived thread per connection.
 //!
 //! * [`ring`] — the backend table: rendezvous hashing, health state
 //!   (healthy / draining / dead), and the health-check pass;
-//! * [`client`] — the outbound HTTP/1.1 client: one request per
-//!   connection, fixed-length and chunked response bodies, plus the
-//!   verbatim byte relay behind the proxied `/jobs/<id>/events` stream;
 //! * [`state`] — shared counters, the composite job-id scheme
 //!   (`backend << 48 | local`), live backend scrapes, and the
 //!   `wec-router-stats-v1` / Prometheus renderers whose cluster roll-up
@@ -31,12 +28,10 @@
 //!
 //! Binary: `wec_router`.
 
-pub mod client;
 pub mod ring;
 pub mod server;
 pub mod state;
 
-pub use client::Response;
 pub use ring::{Backend, BackendState, Ring};
 pub use server::Router;
 pub use state::{RouterConfig, RouterState};

@@ -17,7 +17,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::{client, lock};
+use wec_common::hash::{fnv1a, FNV_OFFSET};
+use wec_serve::http;
+
+use crate::lock;
 
 /// Health of one backend, as last observed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -130,19 +133,9 @@ impl Backend {
     }
 }
 
-/// FNV-1a, the workspace's stock stable hash.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The rendezvous weight of `(key, addr)`.
 pub fn weight(key: &str, addr: &str) -> u64 {
-    let h = fnv1a(0xcbf2_9ce4_8422_2325, key.as_bytes());
+    let h = fnv1a(FNV_OFFSET, key.as_bytes());
     let h = fnv1a(h, b"|");
     fnv1a(h, addr.as_bytes())
 }
@@ -202,7 +195,7 @@ impl Ring {
     /// previous draining mark (the daemon restarted).
     pub fn health_pass(&self, timeout: Duration, dead_after: u32) {
         for b in &self.backends {
-            match client::request(&b.addr, "GET", "/healthz", None, timeout) {
+            match http::request(&b.addr, "GET", "/healthz", None, timeout) {
                 Ok(resp) if resp.status == 200 => {
                     b.record_success();
                     let draining = resp

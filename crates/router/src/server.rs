@@ -46,10 +46,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wec_serve::http::{self, error_json, method_not_allowed, reply_head, reply_json, Request};
+use wec_serve::http::{
+    self, error_json, method_not_allowed, reply_head, reply_json, Request, Response,
+};
 use wec_serve::{listen, JobSpec};
 
-use crate::client::{self, Response};
 use crate::ring::Backend;
 use crate::state::{decode_id, rewrite_record_id, RouterConfig, RouterState};
 
@@ -261,7 +262,7 @@ enum Attempt {
 fn try_backend(state: &RouterState, backend: &Backend, body: &[u8]) -> Attempt {
     let mut attempt = 0u32;
     loop {
-        let resp = match client::request(
+        let resp = match http::request(
             &backend.addr,
             "POST",
             "/jobs",
@@ -399,7 +400,7 @@ fn spawn_hints(state: &Arc<RouterState>, client_ip: &str, spec: &JobSpec) {
                 let addr = st.ring.backends[idx].addr.clone();
                 let body = p.to_json();
                 st.hints_sent.fetch_add(1, Ordering::SeqCst);
-                if let Ok(resp) = client::request(
+                if let Ok(resp) = http::request(
                     &addr,
                     "POST",
                     "/hints",
@@ -451,7 +452,7 @@ fn job_route<W: Write>(
         // Verbatim byte relay: the backend's chunked response IS the
         // response.  Nothing has been written yet, so a connect failure
         // can still be answered properly.
-        return match client::relay(
+        return match http::relay(
             &backend.addr,
             &path,
             w,
@@ -463,7 +464,7 @@ fn job_route<W: Write>(
         };
     }
 
-    let resp = match client::request(&backend.addr, "GET", &path, None, state.cfg.io_timeout) {
+    let resp = match http::request(&backend.addr, "GET", &path, None, state.cfg.io_timeout) {
         Ok(r) => r,
         Err(_) => return reply_json(w, 502, "Bad Gateway", &error_json("backend unreachable")),
     };

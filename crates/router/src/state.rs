@@ -16,11 +16,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use wec_serve::Predictor;
+use wec_serve::{http, Predictor};
 use wec_telemetry::json::{escape_into, Json};
 use wec_telemetry::{json, schema};
 
-use crate::client;
 use crate::ring::{BackendState, Ring};
 
 /// Bits of a composite id that carry the backend-local job id.
@@ -188,7 +187,7 @@ impl RouterState {
             .backends
             .iter()
             .map(|b| {
-                let stats = client::request(&b.addr, "GET", "/stats", None, self.cfg.io_timeout)
+                let stats = http::request(&b.addr, "GET", "/stats", None, self.cfg.io_timeout)
                     .ok()
                     .filter(|r| r.status == 200)
                     .and_then(|r| {

@@ -17,7 +17,7 @@
 //! - every `/stats` scrape and the drain-time `router.json` conserve
 //!   (cluster totals == sum of embedded backend ledgers).
 
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use wec_router::state::LOCAL_ID_BITS;
 use wec_router::{Ring, Router, RouterConfig, RouterState};
+use wec_serve::http;
 use wec_serve::{JobSpec, Predictor, ServeConfig, Server, SpecConfig};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
@@ -73,74 +74,24 @@ fn start_router(cfg: RouterConfig) -> RouterHandle {
     (state, addr, handle)
 }
 
-/// Write raw bytes, half-close, read the whole response.
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
+/// Connect, read and write timeout of every request.
+const TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Write hand-made bytes, half-close, and return the raw reply.
+fn send_raw(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
     let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
     let _ = s.write_all(raw);
     let _ = s.shutdown(std::net::Shutdown::Write);
     let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
+    let _ = s.read_to_end(&mut out);
     out
 }
 
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
-
-fn raw_request(method: &str, path: &str, body: Option<&str>) -> String {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    raw
-}
-
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    parse_response(&send_raw(addr, raw_request(method, path, body).as_bytes()))
+    let addr = addr.to_string();
+    let r = http::request(&addr, method, path, body.map(str::as_bytes), TIMEOUT).unwrap();
+    (r.status, String::from_utf8_lossy(&r.body).into_owned())
 }
 
 fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
@@ -210,6 +161,37 @@ fn fake_backend(on_jobs: impl Fn(u64) -> String + Send + 'static) -> (String, Ar
     });
     (addr, posts)
 }
+
+/// A hostile backend on a bare listener: it answers every request,
+/// `/healthz` included, with `head` followed by copies of `fill` up to
+/// `HOSTILE_BYTES`.  Returns its address and counts of the answers it
+/// wrote in full and of those cut off because the client hung up.
+fn hostile_backend(head: Vec<u8>, fill: &[u8]) -> (String, Arc<AtomicU64>, Arc<AtomicU64>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (whole, cut) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (w, c) = (whole.clone(), cut.clone());
+    let block = fill.repeat((64 << 10) / fill.len() + 1);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut s) = conn else { continue };
+            let _ = s.read_to_end(&mut Vec::new());
+            let mut sent = head.len();
+            let mut wrote = s.write_all(&head);
+            while wrote.is_ok() && sent < HOSTILE_BYTES {
+                wrote = s.write_all(&block);
+                sent += block.len();
+            }
+            let counter = if wrote.is_ok() { &w } else { &c };
+            counter.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    (addr, whole, cut)
+}
+
+/// Far more than loopback socket buffers absorb: a client that stops
+/// reading at its caps leaves the hostile backend's write cut off.
+const HOSTILE_BYTES: usize = 4 * http::MAX_RESPONSE_BODY;
 
 /// An address that refuses connections: bind an ephemeral port, then
 /// free it.
@@ -324,16 +306,17 @@ fn racing_identical_submissions_execute_once_and_results_are_byte_identical() {
     assert_eq!((sr, sd), (200, 200));
     assert_eq!(routed_kv, direct_kv);
     assert!(routed_kv.contains("cycles "), "{routed_kv:?}");
-    let routed_events = send_raw(
-        raddr,
-        raw_request("GET", &format!("/jobs/{}/events", ids[0]), None).as_bytes(),
-    );
-    let direct_events = send_raw(
-        owner,
-        raw_request("GET", &format!("/jobs/{local}/events"), None).as_bytes(),
-    );
+    let events = |addr: SocketAddr, id: u64| {
+        send_raw(
+            addr,
+            &http::format_request("GET", &format!("/jobs/{id}/events"), "e2e", None),
+        )
+    };
+    let routed_events = events(raddr, ids[0]);
+    let direct_events = events(owner, local);
     assert_eq!(routed_events, direct_events, "events must relay verbatim");
-    let report = schema::validate_progress_jsonl(&parse_response(&routed_events).1).unwrap();
+    let routed = http::read_response(&mut Cursor::new(routed_events)).unwrap();
+    let report = schema::validate_progress_jsonl(routed.body_utf8().unwrap()).unwrap();
     assert_eq!((report.starts, report.finishes), (1, 1));
 
     assert_eq!(state.proxied.load(Ordering::SeqCst), 4);
@@ -401,12 +384,14 @@ fn queue_full_is_retried_in_place_then_passed_through() {
     cfg.retries = 2;
     let (state, raddr, hr) = start_router(cfg);
 
-    let raw = send_raw(
-        raddr,
-        raw_request("POST", "/jobs", Some("{\"bench\": \"181.mcf\", \"scale\": 1}")).as_bytes(),
+    let body = b"{\"bench\": \"181.mcf\", \"scale\": 1}";
+    let resp = http::request(&raddr.to_string(), "POST", "/jobs", Some(body), TIMEOUT).unwrap();
+    assert_eq!(resp.status, 503, "{resp:?}");
+    assert_eq!(
+        resp.header("Retry-After"),
+        Some("0"),
+        "the owner's hint passes through: {resp:?}"
     );
-    assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-    assert!(raw.contains("Retry-After: 0"), "the owner's hint passes through: {raw}");
     assert_eq!(posts.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
     assert_eq!(state.retries.load(Ordering::SeqCst), 2);
     assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
@@ -713,6 +698,45 @@ fn deeply_nested_json_gets_400_at_the_router_and_it_survives() {
     let (s, _) = request(raddr, "GET", "/healthz", None);
     assert_eq!(s, 200);
     drain_router(raddr, hr);
+}
+
+#[test]
+fn hostile_backend_answers_are_bounded_errors_and_the_router_survives() {
+    let header = format!("X-Pad: {}\r\n", "v".repeat(http::MAX_HEADER_LINE / 2));
+    let chunk = format!(
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n",
+        http::MAX_RESPONSE_BODY + 1
+    );
+    let cases = [
+        ("status line without a newline", b"HTTP/1.1 200 OK".to_vec(), &b"k"[..]),
+        (
+            "more than MAX_HEADERS headers",
+            b"HTTP/1.1 200 OK\r\n".to_vec(),
+            header.as_bytes(),
+        ),
+        ("chunk over MAX_RESPONSE_BODY", chunk.into_bytes(), &b"x"[..]),
+    ];
+    for (what, head, fill) in cases {
+        let (fake, whole, cut) = hostile_backend(head, fill);
+        assert!(
+            http::request(&fake, "GET", "/jobs/1", None, Duration::from_secs(10)).is_err(),
+            "{what}: the shared client must give up"
+        );
+        let mut cfg = router_cfg(vec![fake]);
+        cfg.health_interval = Duration::from_secs(3600);
+        let (_state, raddr, hr) = start_router(cfg);
+        let (s, body) = request(raddr, "GET", &format!("/jobs/{}", 1u64 << LOCAL_ID_BITS), None);
+        assert_eq!(s, 502, "{what}: {body}");
+        let (s, _) = request(raddr, "GET", "/healthz", None);
+        assert_eq!(s, 200, "{what}");
+        drain_router(raddr, hr);
+        // The direct request, the router's first health probe and the
+        // proxied GET each stopped reading at a cap and hung up.
+        poll_until("hostile answers ended", || {
+            whole.load(Ordering::SeqCst) + cut.load(Ordering::SeqCst) == 3
+        });
+        assert_eq!(whole.load(Ordering::SeqCst), 0, "{what}: read past the caps");
+    }
 }
 
 /// Median wall time of `n` sequential `GET path` round trips.

@@ -45,59 +45,31 @@
 //! in the report (`latency_hist`) — so client-observed and
 //! server-observed distributions compare bucket for bucket.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use wec_serve::http;
 use wec_telemetry::hist::Log2Histogram;
 use wec_telemetry::json::{self, Json};
 
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::Result<(u16, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-    let mut stream = stream;
-    let mut req = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        req.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    req.push_str("\r\n");
-    stream.write_all(req.as_bytes())?;
-    if let Some(b) = body {
-        stream.write_all(b.as_bytes())?;
-    }
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header terminator"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, payload.to_string()))
-}
+/// Connect, read and write timeout of every request.
+const TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Poll `GET /jobs/<id>` until terminal; returns the final state name and
 /// the result source (`cold`/`disk`/`mem`/`spec`, `none` while absent).
 fn poll_terminal(addr: &str, id: u64) -> io::Result<(String, String)> {
     loop {
-        let (status, body) = http(addr, "GET", &format!("/jobs/{id}"), None)?;
-        if status != 200 {
+        let resp = http::request(addr, "GET", &format!("/jobs/{id}"), None, TIMEOUT)?;
+        if resp.status != 200 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("GET /jobs/{id} -> {status}"),
+                format!("GET /jobs/{id} -> {}", resp.status),
             ));
         }
-        let v = json::parse(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let v = json::parse(&String::from_utf8_lossy(&resp.body))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let state = v
             .get("state")
             .and_then(Json::as_str)
@@ -153,8 +125,9 @@ impl TargetTally {
 /// cluster roll-up into a `cluster` record for the report.
 fn cluster_record(targets: &[String]) -> Option<String> {
     for t in targets {
-        let Ok((200, body)) = http(t, "GET", "/stats", None) else {
-            continue;
+        let body = match http::request(t, "GET", "/stats", None, TIMEOUT) {
+            Ok(r) if r.status == 200 => String::from_utf8_lossy(&r.body).into_owned(),
+            _ => continue,
         };
         if wec_telemetry::schema::validate_router_stats_json(&body).is_err() {
             continue;
@@ -290,7 +263,9 @@ fn main() {
         let t = Instant::now();
         for (j, body) in bodies.iter().enumerate() {
             let addr = &targets[j % targets.len()];
-            let (status, resp) = http(addr, "POST", "/jobs", Some(body)).expect("prewarm POST");
+            let resp = http::request(addr, "POST", "/jobs", Some(body.as_bytes()), TIMEOUT)
+                .expect("prewarm POST");
+            let (status, resp) = (resp.status, String::from_utf8_lossy(&resp.body));
             assert_eq!(status, 200, "prewarm rejected: {resp}");
             let (id, state, _source) = record_id_state(&resp).expect("prewarm: bad record");
             if state != "done" {
@@ -358,8 +333,16 @@ fn main() {
                     } else {
                         bodies[i % bodies.len()].clone()
                     };
-                    let outcome = http(addr, "POST", "/jobs", Some(&body)).and_then(
-                        |(status, resp)| match status {
+                    let outcome = http::request(
+                        addr,
+                        "POST",
+                        "/jobs",
+                        Some(body.as_bytes()),
+                        TIMEOUT,
+                    )
+                    .and_then(|resp| {
+                        let (status, resp) = (resp.status, String::from_utf8_lossy(&resp.body));
+                        match status {
                             200 => {
                                 let (id, state, source) =
                                     record_id_state(&resp).ok_or_else(|| {
@@ -376,8 +359,8 @@ fn main() {
                                 io::ErrorKind::InvalidData,
                                 format!("POST /jobs -> {other}: {resp}"),
                             )),
-                        },
-                    );
+                        }
+                    });
                     match &outcome {
                         Ok((state, source)) if state == "done" => {
                             let lat = t0.elapsed().saturating_sub(due);

@@ -7,8 +7,12 @@
 //! request/response framing in the same house style as
 //! [`wec_telemetry::json`]):
 //!
-//! * [`http`] — the HTTP/1.1 request parser (hard limits, never panics on
-//!   wire input) and response/chunked-transfer writers;
+//! * [`http`] — the workspace's one HTTP/1.1 layer, client and server:
+//!   the request parser and response/chunked-transfer writers the daemon
+//!   serves with, and the client (request formatter, response reader,
+//!   verbatim byte relay) that `wec_router`, `loadgen` and the e2e suites
+//!   call.  Requests and responses share one line reader and header
+//!   parser with hard limits, and never panic on wire input;
 //! * [`job`] — the job specification (`POST /jobs` body) and the
 //!   `wec-job-record-v1` record every job carries through its life;
 //! * [`queue`] — the bounded FIFO between the acceptor and the workers

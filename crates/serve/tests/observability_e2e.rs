@@ -3,12 +3,13 @@
 //! probes, the draining health flag, the dashboard page and its data
 //! document, the sampler ring, and the access log.
 
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use wec_serve::http::{self, Response};
 use wec_serve::{ServeConfig, Server, ServerState};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
@@ -34,69 +35,24 @@ fn start(cfg: ServeConfig) -> ServerHandle {
     (state, addr, handle)
 }
 
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
+/// Connect, read and write timeout of every request.
+const TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Write hand-made bytes, half-close, and return the raw reply.
+fn send_raw(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
     let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
     let _ = s.write_all(raw);
     let _ = s.shutdown(std::net::Shutdown::Write);
     let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
+    let _ = s.read_to_end(&mut out);
     out
 }
 
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
-
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    parse_response(&send_raw(addr, raw.as_bytes()))
+    let addr = addr.to_string();
+    let r = http::request(&addr, method, path, body.map(str::as_bytes), TIMEOUT).unwrap();
+    (r.status, String::from_utf8_lossy(&r.body).into_owned())
 }
 
 fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
@@ -317,12 +273,15 @@ fn metrics_reconcile_with_stats_under_concurrent_submissions() {
     handle2.join().unwrap().unwrap();
 }
 
-/// A raw `HEAD` exchange: returns (status line ok, headers, body bytes).
-fn head_raw(addr: SocketAddr, path: &str) -> (String, String) {
-    let raw = format!("HEAD {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n\r\n");
-    let text = send_raw(addr, raw.as_bytes());
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    (head.to_string(), body.to_string())
+/// A raw `HEAD` exchange: the parsed status line and headers, and every
+/// byte that followed them.
+fn head_raw(addr: SocketAddr, path: &str) -> (Response, Vec<u8>) {
+    let raw = http::format_request("HEAD", path, &addr.to_string(), None);
+    let mut reply = Cursor::new(send_raw(addr, &raw));
+    let head = http::read_response_head(&mut reply).unwrap();
+    let mut body = Vec::new();
+    reply.read_to_end(&mut body).unwrap();
+    (head, body)
 }
 
 #[test]
@@ -343,10 +302,11 @@ fn head_probes_match_get_and_healthz_reports_draining() {
         let (gs, get_body) = request(addr, "GET", path, None);
         assert_eq!(gs, 200);
         let (head, body) = head_raw(addr, path);
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(
-            head.contains(&format!("Content-Length: {}", get_body.len())),
-            "HEAD {path} framing:\n{head}\nGET body was {} bytes",
+        assert_eq!(head.status, 200, "{head:?}");
+        assert_eq!(
+            head.header("Content-Length"),
+            Some(get_body.len().to_string().as_str()),
+            "HEAD {path} framing:\n{head:?}\nGET body was {} bytes",
             get_body.len()
         );
         assert!(body.is_empty(), "HEAD {path} leaked a body: {body:?}");
@@ -482,18 +442,11 @@ fn dashboard_serves_cold_and_its_data_and_access_log_validate() {
 
     // The page serves cold, self-contained, with the refresh endpoint and
     // both color schemes inline.
-    let raw = send_raw(
-        addr,
-        b"GET /dashboard HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n\r\n",
-    );
-    assert!(
-        raw.starts_with("HTTP/1.1 200"),
-        "{}",
-        &raw[..60.min(raw.len())]
-    );
-    assert!(raw.contains("Content-Type: text/html"), "not html");
-    let (st, page) = parse_response(&raw);
-    assert_eq!(st, 200);
+    let resp = http::request(&addr.to_string(), "GET", "/dashboard", None, TIMEOUT).unwrap();
+    assert_eq!(resp.status, 200, "{:?}", resp.headers);
+    let content_type = resp.header("Content-Type").unwrap_or("");
+    assert!(content_type.starts_with("text/html"), "not html");
+    let page = resp.body_utf8().unwrap();
     assert!(page.contains("<!doctype html>"));
     assert!(page.contains("/dashboard/data"));
     assert!(page.contains("prefers-color-scheme"));

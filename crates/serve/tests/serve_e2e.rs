@@ -1,12 +1,13 @@
 //! End-to-end daemon tests: a live server on an ephemeral port, driven
 //! over real sockets, running real scale-1 simulations.
 
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use wec_serve::http::{self, Response};
 use wec_serve::{ServeConfig, Server, ServerState};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
@@ -32,72 +33,27 @@ fn start(cfg: ServeConfig) -> ServerHandle {
     (state, addr, handle)
 }
 
-/// Write raw bytes, half-close, read the whole response.  Writes and the
-/// final read are best-effort: a server that rejects early (oversized
-/// request) may close the connection while the client is still sending.
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
+/// Connect, read and write timeout of every request.
+const TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Write hand-made bytes, half-close, and parse the reply with the shared
+/// reader.  Writes and the read are best-effort: a server that rejects
+/// early (oversized request) may close the connection while the client is
+/// still sending.
+fn send_raw(addr: SocketAddr, raw: &[u8]) -> Response {
     let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
     let _ = s.write_all(raw);
     let _ = s.shutdown(std::net::Shutdown::Write);
     let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
-    out
-}
-
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
+    let _ = s.read_to_end(&mut out);
+    http::read_response(&mut Cursor::new(out)).unwrap()
 }
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    parse_response(&send_raw(addr, raw.as_bytes()))
+    let addr = addr.to_string();
+    let r = http::request(&addr, method, path, body.map(str::as_bytes), TIMEOUT).unwrap();
+    (r.status, String::from_utf8_lossy(&r.body).into_owned())
 }
 
 fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
@@ -202,23 +158,25 @@ fn malformed_requests_get_400_and_the_daemon_survives() {
 
     // Wire-level garbage, oversized and truncated requests: every one a
     // 400, none fatal.
-    assert!(send_raw(addr, b"GARBAGE\r\n\r\n").starts_with("HTTP/1.1 400"));
+    assert_eq!(send_raw(addr, b"GARBAGE\r\n\r\n").status, 400);
     let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9000));
-    assert!(send_raw(addr, long_line.as_bytes()).starts_with("HTTP/1.1 400"));
-    assert!(
+    assert_eq!(send_raw(addr, long_line.as_bytes()).status, 400);
+    assert_eq!(
         send_raw(
             addr,
             b"POST /jobs HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"ben"
         )
-        .starts_with("HTTP/1.1 400"),
+        .status,
+        400,
         "truncated body"
     );
-    assert!(
+    assert_eq!(
         send_raw(
             addr,
             b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"
         )
-        .starts_with("HTTP/1.1 400"),
+        .status,
+        400,
         "oversized body"
     );
 
@@ -280,12 +238,16 @@ fn shutdown_drains_inflight_work_and_writes_validated_logs() {
     // bounce with 503 + Retry-After, the in-flight job still finishes.
     let (s, _) = request(addr, "POST", "/shutdown", None);
     assert_eq!(s, 200);
-    let refused = send_raw(
-        addr,
-        b"POST /jobs HTTP/1.1\r\nContent-Length: 21\r\n\r\n{\"bench\": \"164.gzip\"}",
-    );
-    assert!(refused.starts_with("HTTP/1.1 503"), "{refused}");
-    assert!(refused.contains("Retry-After:"), "{refused}");
+    let refused = http::request(
+        &addr.to_string(),
+        "POST",
+        "/jobs",
+        Some(b"{\"bench\": \"164.gzip\"}"),
+        TIMEOUT,
+    )
+    .unwrap();
+    assert_eq!(refused.status, 503, "{refused:?}");
+    assert!(refused.header("Retry-After").is_some(), "{refused:?}");
 
     handle.join().unwrap().unwrap();
 

@@ -18,12 +18,12 @@
 //!    point never recompute it: one claims the parked result, the other
 //!    is an ordinary memo hit.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use wec_serve::http;
 use wec_serve::{ServeConfig, Server, ServerState, SpecConfig};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
@@ -65,69 +65,13 @@ fn spec_cfg(store: PathBuf, log_dir: Option<PathBuf>) -> ServeConfig {
     }
 }
 
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let _ = s.write_all(raw);
-    let _ = s.shutdown(std::net::Shutdown::Write);
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
-    out
-}
-
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
+/// Connect, read and write timeout of every request.
+const TIMEOUT: Duration = Duration::from_secs(120);
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    parse_response(&send_raw(addr, raw.as_bytes()))
+    let addr = addr.to_string();
+    let r = http::request(&addr, method, path, body.map(str::as_bytes), TIMEOUT).unwrap();
+    (r.status, String::from_utf8_lossy(&r.body).into_owned())
 }
 
 fn poll_terminal(addr: SocketAddr, id: u64) -> Json {

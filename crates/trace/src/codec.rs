@@ -1,5 +1,5 @@
 //! Byte-level primitives for the trace format: LEB128 varints, zigzag
-//! signed mapping, and the FNV-1a fold used by every checksum.
+//! signed mapping, and a bounds-checked reader.
 
 use crate::TraceError;
 
@@ -25,29 +25,6 @@ pub fn zigzag(v: i64) -> u64 {
 /// Inverse of [`zigzag`].
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// 64-bit FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold one u64 (as 8 LE bytes) into a running FNV-1a hash — the trace's
-/// content checksums are built from these.
-pub fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// A bounds-checked reader over an encoded byte slice.
@@ -148,11 +125,5 @@ mod tests {
     fn truncated_varint_is_error() {
         let mut c = Cursor::new(&[0x80]);
         assert!(matches!(c.get_varint("t"), Err(TraceError::Truncated("t"))));
-    }
-
-    #[test]
-    fn fnv_fold_matches_bytes() {
-        let v = 0x0123_4567_89ab_cdefu64;
-        assert_eq!(fnv_fold(FNV_OFFSET, v), fnv1a(&v.to_le_bytes()));
     }
 }

@@ -26,7 +26,9 @@
 
 use std::path::Path;
 
-use crate::codec::{fnv1a, fnv_fold, Cursor};
+use wec_common::hash::{fnv1a, FNV_OFFSET};
+
+use crate::codec::Cursor;
 use crate::record::TraceRecord;
 use crate::stream::{Block, EncodedStream, StreamDecoder};
 use crate::TraceError;
@@ -67,13 +69,14 @@ impl Trace {
     /// Cheap stable identity for result-cache keys: folds the stream
     /// content checksums, counts, and capture metadata.
     pub fn identity(&self) -> u64 {
-        let mut h = fnv1a(self.header.bench.as_bytes());
-        h = fnv_fold(h, self.header.sim_revision as u64);
-        h = fnv_fold(h, self.header.scale_units as u64);
-        h = fnv_fold(h, self.header.total_records);
+        let fold = |h: u64, v: u64| fnv1a(h, &v.to_le_bytes());
+        let mut h = fnv1a(FNV_OFFSET, self.header.bench.as_bytes());
+        h = fold(h, self.header.sim_revision as u64);
+        h = fold(h, self.header.scale_units as u64);
+        h = fold(h, self.header.total_records);
         for s in &self.streams {
-            h = fnv_fold(h, s.records);
-            h = fnv_fold(h, s.checksum);
+            h = fold(h, s.records);
+            h = fold(h, s.checksum);
         }
         h
     }
@@ -128,7 +131,7 @@ impl Trace {
                 out.extend_from_slice(&b.bytes);
             }
         }
-        let file_sum = fnv1a(&out);
+        let file_sum = fnv1a(FNV_OFFSET, &out);
         put_u64(&mut out, file_sum);
         out
     }
@@ -139,7 +142,7 @@ impl Trace {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let declared = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != declared {
+        if fnv1a(FNV_OFFSET, body) != declared {
             return Err(TraceError::Corrupt("file checksum mismatch".into()));
         }
         let mut c = Cursor::new(body);
@@ -357,7 +360,7 @@ mod tests {
 
     /// Re-seal `body` (everything but the file checksum) as a trace file.
     fn sealed(mut body: Vec<u8>) -> Vec<u8> {
-        let sum = fnv1a(&body);
+        let sum = fnv1a(FNV_OFFSET, &body);
         put_u64(&mut body, sum);
         body
     }

@@ -185,7 +185,7 @@ fn decode_streams(trace: &Trace, jobs: usize) -> Result<Vec<Vec<TraceRecord>>, T
                 enc.records
             )));
         }
-        let mut checksum = crate::codec::FNV_OFFSET;
+        let mut checksum = wec_common::hash::FNV_OFFSET;
         for rec in stream {
             checksum = rec.fold_checksum(checksum);
         }

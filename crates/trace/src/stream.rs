@@ -17,7 +17,9 @@
 //! carry an FNV-1a checksum of their encoded bytes; the stream itself
 //! carries a content checksum folded over the decoded records.
 
-use crate::codec::{fnv1a, put_varint, unzigzag, zigzag, Cursor, FNV_OFFSET};
+use wec_common::hash::{fnv1a, FNV_OFFSET};
+
+use crate::codec::{put_varint, unzigzag, zigzag, Cursor};
 use crate::record::{TraceKind, TraceRecord, KIND_CONTEXTS};
 use crate::TraceError;
 
@@ -250,7 +252,7 @@ impl StreamEncoder {
         let bytes = std::mem::take(&mut self.buf);
         self.blocks.push(Block {
             records: self.block_records,
-            checksum: fnv1a(&bytes),
+            checksum: fnv1a(FNV_OFFSET, &bytes),
             bytes,
         });
         self.block_records = 0;
@@ -285,7 +287,7 @@ impl<'a> BlockDecoder<'a> {
     /// Verify the block's byte checksum and position a decoder at its
     /// first record.
     pub fn new(block: &'a Block, tu: u32) -> Result<Self, TraceError> {
-        if fnv1a(&block.bytes) != block.checksum {
+        if fnv1a(FNV_OFFSET, &block.bytes) != block.checksum {
             return Err(TraceError::Corrupt("block byte checksum mismatch".into()));
         }
         // The encoder never seals more; a larger count is hostile (a few
