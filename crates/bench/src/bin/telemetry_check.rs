@@ -38,7 +38,9 @@
 //!
 //! Exit codes: `0` all artifacts present validated, `1` any validation
 //! failed or no artifact was found (a `--require` with no valid
-//! `events.jsonl` also fails).
+//! `events.jsonl` also fails), `2` bad arguments (no `DIR`, a second
+//! `DIR`, an unknown option, or a `--require` without its kind); the
+//! usage goes to stderr.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -59,6 +61,15 @@ fn read(dir: &Path, name: &str) -> Option<String> {
     }
 }
 
+const USAGE: &str =
+    "usage: telemetry_check DIR [--require kind]... [--require-attribution] [--require-spec]";
+
+/// Print what is wrong with the arguments and the usage; exit code 2.
+fn bad_args(why: &str) -> ExitCode {
+    eprintln!("telemetry_check: {why}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut dir: Option<String> = None;
@@ -68,14 +79,22 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--require" => required.push(it.next().expect("--require kind").clone()),
+            "--require" => match it.next() {
+                Some(kind) => required.push(kind.clone()),
+                None => return bad_args("--require needs an event kind"),
+            },
             "--require-attribution" => require_attribution = true,
             "--require-spec" => require_spec = true,
+            other if other.starts_with("--") => {
+                return bad_args(&format!("unknown option {other:?}"))
+            }
             other if dir.is_none() => dir = Some(other.to_string()),
-            other => panic!("unexpected argument {other:?}"),
+            other => return bad_args(&format!("unexpected argument {other:?}")),
         }
     }
-    let dir_s = dir.expect("usage: telemetry_check DIR [--require kind]...");
+    let Some(dir_s) = dir else {
+        return bad_args("missing DIR");
+    };
     let dir = Path::new(&dir_s);
     let mut failures = 0u32;
     let mut validated = 0u32;

@@ -91,4 +91,23 @@ proptest! {
             .collect();
         prop_assert_eq!(MachineMetrics::from_kv(&commented).unwrap(), m);
     }
+
+    /// Hostile input — arbitrary bytes, truncations and byte flips of a
+    /// good block — parses to `Ok` or `Err`, never a panic.
+    #[test]
+    fn kv_hostile_input_never_panics(
+        m in arb_metrics(),
+        raw in proptest::collection::vec(any::<u8>(), 0..400),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let _ = MachineMetrics::from_kv(&String::from_utf8_lossy(&raw));
+        let good = m.to_kv().into_bytes();
+        let _ = MachineMetrics::from_kv(&String::from_utf8_lossy(&good[..cut % (good.len() + 1)]));
+        let mut flipped = good.clone();
+        for (at, b) in flips {
+            flipped[at % good.len()] = b;
+        }
+        let _ = MachineMetrics::from_kv(&String::from_utf8_lossy(&flipped));
+    }
 }

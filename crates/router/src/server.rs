@@ -336,7 +336,10 @@ fn submit<W: Write>(
                     backend.routed.fetch_add(1, Ordering::SeqCst);
                     state.proxied.fetch_add(1, Ordering::SeqCst);
                     spawn_hints(state, client_ip, &spec);
-                    let body = resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx));
+                    let body = resp
+                        .body_utf8()
+                        .ok()
+                        .and_then(|b| rewrite_record_id(b, idx));
                     return match body {
                         Some(b) => reply_json(w, 200, "OK", &b),
                         None => reply_json(
@@ -348,7 +351,11 @@ fn submit<W: Write>(
                     };
                 }
                 // Backend-blamed answers (400 etc.) pass through as-is.
-                let reason = if resp.status == 400 { "Bad Request" } else { "Bad Gateway" };
+                let reason = if resp.status == 400 {
+                    "Bad Request"
+                } else {
+                    "Bad Gateway"
+                };
                 http::write_response(
                     w,
                     resp.status,
@@ -472,7 +479,11 @@ fn job_route<W: Write>(
     // and attribution) get their id rewritten; everything else — result
     // bytes, error objects, attribution reports — passes through
     // untouched, byte-identical to a direct fetch.
-    let body = match resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx)) {
+    let body = match resp
+        .body_utf8()
+        .ok()
+        .and_then(|b| rewrite_record_id(b, idx))
+    {
         Some(b) => b.into_bytes(),
         None => resp.body.clone(),
     };

@@ -395,7 +395,11 @@ fn queue_full_is_retried_in_place_then_passed_through() {
     assert_eq!(posts.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
     assert_eq!(state.retries.load(Ordering::SeqCst), 2);
     assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
-    assert_eq!(state.resharded.load(Ordering::SeqCst), 0, "answered by the primary");
+    assert_eq!(
+        state.resharded.load(Ordering::SeqCst),
+        0,
+        "answered by the primary"
+    );
     drain_router(raddr, hr);
 }
 
@@ -542,7 +546,9 @@ fn hints_land_on_the_predictions_hash_owner_and_warm_its_spec_lane() {
         assert_eq!(s, 200);
         u64_at(&json::parse(&stats).unwrap(), &["spec", "started"])
     };
-    poll_until("owner speculation started", || spec_started(owner_addr) >= 1);
+    poll_until("owner speculation started", || {
+        spec_started(owner_addr) >= 1
+    });
     assert_eq!(
         spec_started(other_addr),
         0,
@@ -555,8 +561,7 @@ fn hints_land_on_the_predictions_hash_owner_and_warm_its_spec_lane() {
         let (s, page) = request(owner_addr, "GET", "/metrics", None);
         assert_eq!(s, 200);
         page.lines().any(|l| {
-            l.starts_with("wec_serve_job_duration_ms_count{source=\"spec\"}")
-                && !l.ends_with(" 0")
+            l.starts_with("wec_serve_job_duration_ms_count{source=\"spec\"}") && !l.ends_with(" 0")
         })
     });
 
@@ -579,7 +584,11 @@ fn hints_land_on_the_predictions_hash_owner_and_warm_its_spec_lane() {
     schema::validate_router_stats_json(&stats).unwrap();
     let v = json::parse(&stats).unwrap();
     assert_eq!(u64_at(&v, &["cluster", "cache", "spec_hits"]), 1, "{stats}");
-    assert_eq!(u64_at(&v, &["router", "hints_sent"]), 2, "one per demand submit");
+    assert_eq!(
+        u64_at(&v, &["router", "hints_sent"]),
+        2,
+        "one per demand submit"
+    );
 
     drain_router(raddr, hr);
     drain_backend(a, ha);
@@ -665,7 +674,11 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
 
     // Spec validation happens at the router: garbage gets a 400 here and
     // the backend never sees a byte of it.
-    for body in ["{not json", "{\"bench\": \"999.nope\"}", "{\"bench\": \"181.mcf\", \"oops\": 1}"] {
+    for body in [
+        "{not json",
+        "{\"bench\": \"999.nope\"}",
+        "{\"bench\": \"181.mcf\", \"oops\": 1}",
+    ] {
         let (s, _) = request(raddr, "POST", "/jobs", Some(body));
         assert_eq!(s, 400, "{body}");
     }
@@ -673,7 +686,12 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     // (backend index 0) and an index beyond the ring.
     let (s, _) = request(raddr, "GET", "/jobs/12345", None);
     assert_eq!(s, 404);
-    let (s, _) = request(raddr, "GET", &format!("/jobs/{}", 9u64 << LOCAL_ID_BITS), None);
+    let (s, _) = request(
+        raddr,
+        "GET",
+        &format!("/jobs/{}", 9u64 << LOCAL_ID_BITS),
+        None,
+    );
     assert_eq!(s, 404);
     let (s, _) = request(raddr, "GET", "/jobs/notanid", None);
     assert_eq!(s, 404);
@@ -682,7 +700,10 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     assert_eq!(posts.load(Ordering::SeqCst), 0);
 
     let (s, body) = request(raddr, "GET", "/healthz", None);
-    assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":false}"));
+    assert_eq!(
+        (s, body.as_str()),
+        (200, "{\"ok\":true,\"draining\":false}")
+    );
     drain_router(raddr, hr);
 }
 
@@ -708,13 +729,21 @@ fn hostile_backend_answers_are_bounded_errors_and_the_router_survives() {
         http::MAX_RESPONSE_BODY + 1
     );
     let cases = [
-        ("status line without a newline", b"HTTP/1.1 200 OK".to_vec(), &b"k"[..]),
+        (
+            "status line without a newline",
+            b"HTTP/1.1 200 OK".to_vec(),
+            &b"k"[..],
+        ),
         (
             "more than MAX_HEADERS headers",
             b"HTTP/1.1 200 OK\r\n".to_vec(),
             header.as_bytes(),
         ),
-        ("chunk over MAX_RESPONSE_BODY", chunk.into_bytes(), &b"x"[..]),
+        (
+            "chunk over MAX_RESPONSE_BODY",
+            chunk.into_bytes(),
+            &b"x"[..],
+        ),
     ];
     for (what, head, fill) in cases {
         let (fake, whole, cut) = hostile_backend(head, fill);
@@ -725,7 +754,12 @@ fn hostile_backend_answers_are_bounded_errors_and_the_router_survives() {
         let mut cfg = router_cfg(vec![fake]);
         cfg.health_interval = Duration::from_secs(3600);
         let (_state, raddr, hr) = start_router(cfg);
-        let (s, body) = request(raddr, "GET", &format!("/jobs/{}", 1u64 << LOCAL_ID_BITS), None);
+        let (s, body) = request(
+            raddr,
+            "GET",
+            &format!("/jobs/{}", 1u64 << LOCAL_ID_BITS),
+            None,
+        );
         assert_eq!(s, 502, "{what}: {body}");
         let (s, _) = request(raddr, "GET", "/healthz", None);
         assert_eq!(s, 200, "{what}");
@@ -735,7 +769,11 @@ fn hostile_backend_answers_are_bounded_errors_and_the_router_survives() {
         poll_until("hostile answers ended", || {
             whole.load(Ordering::SeqCst) + cut.load(Ordering::SeqCst) == 3
         });
-        assert_eq!(whole.load(Ordering::SeqCst), 0, "{what}: read past the caps");
+        assert_eq!(
+            whole.load(Ordering::SeqCst),
+            0,
+            "{what}: read past the caps"
+        );
     }
 }
 

@@ -116,16 +116,17 @@ fn main() {
                 spec_tuned = Some("--spec-queue-cap");
             }
             "--spec-inflight" => {
-                spec_cfg.inflight_max = value("--spec-inflight")
-                    .parse()
-                    .expect("--spec-inflight N");
-                assert!(spec_cfg.inflight_max > 0, "--spec-inflight must be positive");
+                spec_cfg.inflight_max =
+                    value("--spec-inflight").parse().expect("--spec-inflight N");
+                assert!(
+                    spec_cfg.inflight_max > 0,
+                    "--spec-inflight must be positive"
+                );
                 spec_tuned = Some("--spec-inflight");
             }
             "--spec-ttl-ms" => {
-                spec_cfg.ttl = Duration::from_millis(
-                    value("--spec-ttl-ms").parse().expect("--spec-ttl-ms N"),
-                );
+                spec_cfg.ttl =
+                    Duration::from_millis(value("--spec-ttl-ms").parse().expect("--spec-ttl-ms N"));
                 spec_tuned = Some("--spec-ttl-ms");
             }
             other => panic!("unknown argument {other:?}"),

@@ -406,7 +406,11 @@ impl ServerState {
         client: &str,
     ) -> Result<Arc<JobSlot>, SubmitError> {
         let speculating = self.predictor.is_some();
-        let to_predict = if speculating { Some(spec.clone()) } else { None };
+        let to_predict = if speculating {
+            Some(spec.clone())
+        } else {
+            None
+        };
         let out = self.submit_demand(spec);
         if let (Ok(_), Some(spec)) = (&out, to_predict) {
             self.reap_stale();

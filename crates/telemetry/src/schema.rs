@@ -1,110 +1,353 @@
-//! Validators for the telemetry artifacts (used by tests and the CI smoke
-//! job): the events JSONL schema, the time-series CSV, the histograms JSON,
-//! and the Perfetto trace.
+//! Validators for every telemetry artifact: the event and commit streams,
+//! `timeseries.csv`, `histograms.json`, the Perfetto trace, the sweep
+//! files (`progress.jsonl`, `run.json`, `profile.json`), the attribution
+//! ledger, and the serve and router documents.  Tests, `telemetry_check`
+//! and the serving tier call them.
 //!
-//! The event schema is strict: every line must carry `cycle` and a known
-//! `type`, exactly the fields that type declares, each with the right JSON
-//! type.  That way a drifting emitter fails CI instead of producing files
-//! tools half-understand.
+//! Every JSON schema is written the same way, in three parts:
+//!
+//! 1. **A shape table.**  `fields!` declares each field once: its name,
+//!    its [`Ty`], and whether it is required (`name: Ty`) or optional
+//!    (`name?: Ty`).  Parts several schemas share (bucket pairs, job rows,
+//!    the attribution lifecycle counters, the serve-stats blocks) are
+//!    tables of their own, spliced in with `..TABLE`; a bare `..` lets an
+//!    object carry keys the table does not declare.  Objects whose fields
+//!    depend on a tag (`type`, `event`, `schema`) are [`Variants`].
+//! 2. **One recursive check.**  `check` enforces presence, type, and "no
+//!    unknown fields" at every object level, and holds histogram buckets
+//!    to the `count` beside them.
+//! 3. **One rules function per schema.**  It runs after the shape check,
+//!    so it reads fields through accessors that cannot fail (`int`, `at`,
+//!    `array`, …), and it does every counter sum through `sum`, which
+//!    rejects overflow: the parser saturates `1e300` to `u64::MAX`, so an
+//!    unchecked `+` would panic, or wrap into a sum that looks conserved.
+//!
+//! To add a schema, write its table and its rules as a `Schema`, and a
+//! `pub fn validate_*` that parses the text and calls `Schema::validate`.
+//! JSONL streams go through `each_line`, which rejects blank lines, parses
+//! each line, and puts `<file> line N` in front of every error.
+//! `timeseries.csv` and the Perfetto span balancing are not JSON field
+//! shapes, so their validators stay hand-written.
+
+use std::cmp::Reverse;
 
 use crate::json::{self, Json};
+use Field::{All, Open, Opt, Req};
+use Ty::{Arr, Bool, Buckets, Map, NonEmpty, Obj, OneOf, Str, Tag, Tagged, F64, U64};
 
-/// JSON type of a schema field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FieldKind {
+/// The type a field's value must have.
+#[derive(Clone, Copy, Debug)]
+pub enum Ty {
     U64,
+    F64,
     Bool,
     Str,
+    /// A string that is not empty.
+    NonEmpty,
+    /// One of a fixed set of strings.
+    OneOf(&'static [&'static str]),
+    /// Exactly this string: a document's `schema` tag.
+    Tag(&'static str),
+    /// An object with exactly these fields.
+    Obj(&'static [Field]),
+    /// An object whose tag field picks its fields.
+    Tagged(&'static Variants),
+    /// An array whose elements all have this type.
+    Arr(&'static Ty),
+    /// A string-keyed object whose values all have this type.
+    Map(&'static Ty),
+    /// Histogram buckets, `[[bound, count], ...]`; the counts must sum to
+    /// the `count` field of the same object.
+    Buckets,
 }
 
-/// Field list per event type — the JSONL schema, in one place.
-pub const EVENT_SCHEMA: &[(&str, &[(&str, FieldKind)])] = &[
-    (
-        "wrong_load_issue",
-        &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong_thread", FieldKind::Bool),
-        ],
-    ),
-    (
-        "wec_fill",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
+/// One entry of a shape table.
+#[derive(Clone, Copy, Debug)]
+pub enum Field {
+    /// Must be present, with this type.
+    Req(&'static str, Ty),
+    /// May be absent; has this type when present.
+    Opt(&'static str, Ty),
+    /// Every field of a shared table.
+    All(&'static [Field]),
+    /// Keys the table does not declare are tolerated.
+    Open,
+}
+
+/// `fields![name: Ty, name?: Ty, ..SHARED, ..]`: a shape table of
+/// required fields, optional fields, shared tables, and "other keys are
+/// tolerated".
+macro_rules! fields {
+    (@ [$($out:expr),*]) => { &[$($out),*] };
+    (@ [$($out:expr),*] $name:ident ?: $ty:expr $(, $($rest:tt)*)?) => {
+        fields!(@ [$($out,)* Opt(stringify!($name), $ty)] $($($rest)*)?)
+    };
+    (@ [$($out:expr),*] $name:ident : $ty:expr $(, $($rest:tt)*)?) => {
+        fields!(@ [$($out,)* Req(stringify!($name), $ty)] $($($rest)*)?)
+    };
+    (@ [$($out:expr),*] .. $shared:ident $(, $($rest:tt)*)?) => {
+        fields!(@ [$($out,)* All($shared)] $($($rest)*)?)
+    };
+    (@ [$($out:expr),*] .. $(, $($rest:tt)*)?) => {
+        fields!(@ [$($out,)* Open] $($($rest)*)?)
+    };
+    ($($rest:tt)*) => { fields!(@ [] $($rest)*) };
+}
+
+/// Objects whose `tag` field selects one of several field tables.
+#[derive(Debug)]
+pub struct Variants {
+    tag: &'static str,
+    /// Fields every variant has, besides the tag.
+    common: &'static [Field],
+    variants: &'static [(&'static str, &'static [Field])],
+}
+
+/// A document's shape plus the cross-field rules checked after it.
+struct Schema {
+    shape: Ty,
+    rules: fn(&Json) -> Rule,
+}
+
+impl Schema {
+    fn validate(&self, v: &Json, ctx: &str) -> Rule {
+        check(v, self.shape, ctx, "")?;
+        within(ctx, (self.rules)(v))
+    }
+}
+
+/// What a check or rule returns: `Err` carries the reason.
+type Rule = Result<(), String>;
+
+/// Fail with the message unless `cond` holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+/// Prefix the error of a nested rule with where it applies.
+fn within<T>(at: impl std::fmt::Display, r: Result<T, String>) -> Result<T, String> {
+    r.map_err(|e| format!("{at}: {e}"))
+}
+
+// --- the one checker ---------------------------------------------------------
+
+/// Check `v` against `ty`.  `ctx` names the enclosing object (file and
+/// path) and `name` the field within it (`""` for the document itself).
+fn check(v: &Json, ty: Ty, ctx: &str, name: &str) -> Rule {
+    let path = || match name {
+        "" => ctx.to_string(),
+        _ => format!("{ctx} {name}"),
+    };
+    let ok = match ty {
+        U64 => v.as_u64().is_some(),
+        F64 => v.as_f64().is_some(),
+        Bool => v.as_bool().is_some(),
+        Str => v.as_str().is_some(),
+        NonEmpty => v.as_str().is_some_and(|s| !s.is_empty()),
+        OneOf(set) => v.as_str().is_some_and(|s| set.contains(&s)),
+        Tag(tag) => v.as_str() == Some(tag),
+        Obj(fields) => return check_obj(v, &[fields], &path()),
+        Tagged(t) => return check_tagged(v, t, &path()),
+        Arr(elem) => {
+            for (i, item) in v.as_array().unwrap_or(&[]).iter().enumerate() {
+                check(item, *elem, ctx, &format!("{name}[{i}]"))?;
+            }
+            v.as_array().is_some()
+        }
+        Map(elem) => {
+            for (key, item) in members(v) {
+                check(item, *elem, ctx, &format!("{name}[{key:?}]"))?;
+            }
+            v.is_object()
+        }
+        // A bucket's bound is free-form; its count must be a u64.
+        Buckets => v.as_array().is_some_and(|items| {
+            let pair = |b: &Json| matches!(b.as_array(), Some([_, n]) if n.as_u64().is_some());
+            items.iter().all(pair)
+        }),
+    };
+    let expected = || match ty {
+        Arr(_) | Buckets => "an array".into(),
+        Map(_) => "an object".into(),
+        _ => format!("{ty:?}"),
+    };
+    ensure!(ok, "{}: expected {}", path(), expected());
+    Ok(())
+}
+
+/// Check an object against the union of `tables`.
+fn check_obj(v: &Json, tables: &[&[Field]], ctx: &str) -> Rule {
+    ensure!(v.is_object(), "{ctx}: not a JSON object");
+    for fields in tables {
+        check_fields(v, fields, ctx)?;
+    }
+    for (name, _) in members(v) {
+        let known = tables.iter().any(|t| declares(t, name));
+        ensure!(known, "{ctx}: unexpected field {name:?}");
+    }
+    Ok(())
+}
+
+fn check_fields(v: &Json, fields: &[Field], ctx: &str) -> Rule {
+    for f in fields {
+        match *f {
+            Req(name, ty) | Opt(name, ty) => match v.get(name) {
+                Some(x) => check(x, ty, ctx, name)?,
+                None => ensure!(matches!(f, Opt(..)), "{ctx}: missing {name:?}"),
+            },
+            All(shared) => check_fields(v, shared, ctx)?,
+            Open => {}
+        }
+        if let Req(name, Buckets) = *f {
+            let pairs = array(v, name).iter().filter_map(Json::as_array);
+            let total = within(ctx, sum(pairs.map(|p| p.get(1).map_or(0, uint))))?;
+            let count = int(v, "count");
+            ensure!(total == count, "{ctx}: {name} sum to {total}, not {count}");
+        }
+    }
+    Ok(())
+}
+
+fn declares(fields: &[Field], name: &str) -> bool {
+    fields.iter().any(|f| match *f {
+        Req(n, _) | Opt(n, _) => n == name,
+        All(shared) => declares(shared, name),
+        Open => true,
+    })
+}
+
+fn check_tagged(v: &Json, t: &Variants, ctx: &str) -> Rule {
+    ensure!(v.is_object(), "{ctx}: not a JSON object");
+    let tag = at(v, t.tag).as_str();
+    ensure!(tag.is_some(), "{ctx}: missing/invalid {:?}", t.tag);
+    let variant = t.variants.iter().find(|(name, _)| Some(*name) == tag);
+    let Some((_, fields)) = variant else {
+        return Err(format!("{ctx}: unknown {} {:?}", t.tag, tag.unwrap_or("")));
+    };
+    check_obj(v, &[&[Req(t.tag, Str)], t.common, fields], ctx)
+}
+
+// --- accessors for rules (the shape check has run) ---------------------------
+
+/// Field `key` of `v`, or `null` when absent.
+fn at<'a>(v: &'a Json, key: &str) -> &'a Json {
+    v.get(key).unwrap_or(&Json::Null)
+}
+
+fn uint(v: &Json) -> u64 {
+    v.as_u64().unwrap_or(0)
+}
+
+/// Field `key` as a u64: 0 when absent (an optional field, or a v1
+/// document read by a rule written for v2).
+fn int(v: &Json, key: &str) -> u64 {
+    uint(at(v, key))
+}
+
+fn float(v: &Json, key: &str) -> f64 {
+    at(v, key).as_f64().unwrap_or(0.0)
+}
+
+fn string<'a>(v: &'a Json, key: &str) -> &'a str {
+    at(v, key).as_str().unwrap_or("")
+}
+
+fn array<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    at(v, key).as_array().unwrap_or(&[])
+}
+
+fn members(v: &Json) -> &[(String, Json)] {
+    match v {
+        Json::Obj(m) => m,
+        _ => &[],
+    }
+}
+
+fn keys(v: &Json) -> Vec<String> {
+    members(v).iter().map(|(k, _)| k.clone()).collect()
+}
+
+/// Sum counters, rejecting a total that overflows u64.
+fn sum(parts: impl IntoIterator<Item = u64>) -> Result<u64, String> {
+    let total = parts.into_iter().try_fold(0u64, u64::checked_add);
+    total.ok_or_else(|| "counters overflow u64".to_string())
+}
+
+/// Sum the u64 fields a table declares.
+fn total(v: &Json, fields: &[Field]) -> Result<u64, String> {
+    sum(names(fields).into_iter().map(|n| int(v, n)))
+}
+
+fn names(fields: &[Field]) -> Vec<&'static str> {
+    let each = |f: &Field| match *f {
+        Req(n, _) | Opt(n, _) => vec![n],
+        All(shared) => names(shared),
+        Open => vec![],
+    };
+    fields.iter().flat_map(each).collect()
+}
+
+fn fraction(v: &Json, key: &str) -> Rule {
+    let x = float(v, key);
+    ensure!((0.0..=1.0).contains(&x), "{key} {x} out of [0,1]");
+    Ok(())
+}
+
+/// Check each line of a JSONL stream with `line`: no blank lines, every
+/// line parses, and errors carry `<file> line N`.
+fn each_line(text: &str, file: &str, mut line: impl FnMut(&Json, &str) -> Rule) -> Rule {
+    for (i, l) in text.lines().enumerate() {
+        let ctx = format!("{file} line {}", i + 1);
+        ensure!(!l.trim().is_empty(), "{ctx}: blank line");
+        let v = json::parse(l).map_err(|e| format!("{ctx}: {e}"))?;
+        line(&v, &ctx)?;
+    }
+    Ok(())
+}
+
+fn parse(text: &str, file: &str) -> Result<Json, String> {
+    json::parse(text).map_err(|e| format!("{file}: {e}"))
+}
+
+// --- events.jsonl / commits.jsonl --------------------------------------------
+
+const TU_ADDR: &[Field] = fields![tu: U64, addr: U64];
+
+/// Field table per event type — the JSONL event schema, in one place.
+/// Every line also carries `cycle` and its `type`.
+pub const EVENT_SCHEMA: &[(&str, &[Field])] = &[
+    ("wrong_load_issue", fields![..TU_ADDR, wrong_thread: Bool]),
+    ("wec_fill", TU_ADDR),
     (
         "wec_hit",
-        &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong_fetched", FieldKind::Bool),
-            ("prefetched", FieldKind::Bool),
-        ],
+        fields![..TU_ADDR, wrong_fetched: Bool, prefetched: Bool],
     ),
-    (
-        "victim_transfer",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
-    (
-        "next_line_prefetch",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
-    (
-        "l1_miss",
-        &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong", FieldKind::Bool),
-        ],
-    ),
-    (
-        "l2_miss",
-        &[("addr", FieldKind::U64), ("wrong", FieldKind::Bool)],
-    ),
+    ("victim_transfer", TU_ADDR),
+    ("next_line_prefetch", TU_ADDR),
+    ("l1_miss", fields![..TU_ADDR, wrong: Bool]),
+    ("l2_miss", fields![addr: U64, wrong: Bool]),
     (
         "pipeline_flush",
-        &[
-            ("tu", FieldKind::U64),
-            ("pc", FieldKind::U64),
-            ("new_pc", FieldKind::U64),
-            ("squashed", FieldKind::U64),
-        ],
+        fields![tu: U64, pc: U64, new_pc: U64, squashed: U64],
     ),
-    (
-        "commit",
-        &[
-            ("tu", FieldKind::U64),
-            ("seq", FieldKind::U64),
-            ("pc", FieldKind::U64),
-            ("op", FieldKind::Str),
-        ],
-    ),
-    (
-        "begin",
-        &[("region", FieldKind::U64), ("head", FieldKind::U64)],
-    ),
+    ("commit", fields![tu: U64, seq: U64, pc: U64, op: Str]),
+    ("begin", fields![region: U64, head: U64]),
     (
         "fork",
-        &[
-            ("parent", FieldKind::U64),
-            ("child", FieldKind::U64),
-            ("tu", FieldKind::U64),
-            ("deferred", FieldKind::Bool),
-        ],
+        fields![parent: U64, child: U64, tu: U64, deferred: Bool],
     ),
-    (
-        "thread_start",
-        &[("id", FieldKind::U64), ("tu", FieldKind::U64)],
-    ),
-    ("abort", &[("id", FieldKind::U64)]),
-    ("marked_wrong", &[("id", FieldKind::U64)]),
-    ("killed", &[("id", FieldKind::U64), ("tu", FieldKind::U64)]),
-    ("wrong_died", &[("id", FieldKind::U64)]),
-    (
-        "wb_start",
-        &[("id", FieldKind::U64), ("words", FieldKind::U64)],
-    ),
-    ("retired", &[("id", FieldKind::U64), ("tu", FieldKind::U64)]),
-    ("sequential", &[("tu", FieldKind::U64)]),
+    ("thread_start", fields![id: U64, tu: U64]),
+    ("abort", fields![id: U64]),
+    ("marked_wrong", fields![id: U64]),
+    ("killed", fields![id: U64, tu: U64]),
+    ("wrong_died", fields![id: U64]),
+    ("wb_start", fields![id: U64, words: U64]),
+    ("retired", fields![id: U64, tu: U64]),
+    ("sequential", fields![tu: U64]),
 ];
 
 /// What a validated event stream contained.
@@ -117,161 +360,73 @@ pub struct EventReport {
 
 impl EventReport {
     pub fn count_of(&self, name: &str) -> u64 {
-        self.counts
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, n)| n)
-            .unwrap_or(0)
-    }
-}
-
-fn field_matches(v: &Json, kind: FieldKind) -> bool {
-    match kind {
-        FieldKind::U64 => v.as_u64().is_some(),
-        FieldKind::Bool => v.as_bool().is_some(),
-        FieldKind::Str => v.as_str().is_some(),
+        let count = self.counts.iter().find(|(k, _)| k == name);
+        count.map_or(0, |&(_, n)| n)
     }
 }
 
 /// Validate a JSONL event stream against [`EVENT_SCHEMA`].  Cycles must be
 /// non-decreasing (the machine drains buffers in cycle order).
 pub fn validate_events_jsonl(text: &str) -> Result<EventReport, String> {
+    const LINE: Ty = Tagged(&Variants {
+        tag: "type",
+        common: fields![cycle: U64],
+        variants: EVENT_SCHEMA,
+    });
     let mut report = EventReport::default();
-    let mut last_cycle = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = |msg: String| format!("events.jsonl line {}: {msg}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(ctx("blank line".into()));
-        }
-        let v = json::parse(line).map_err(&ctx)?;
-        let Json::Obj(fields) = &v else {
-            return Err(ctx("not a JSON object".into()));
-        };
-        let cycle = v
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("missing/invalid \"cycle\"".into()))?;
-        if cycle < last_cycle {
-            return Err(ctx(format!(
-                "cycle {cycle} went backwards from {last_cycle}"
-            )));
-        }
-        last_cycle = cycle;
-        let ty = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing/invalid \"type\"".into()))?;
-        let Some((_, schema)) = EVENT_SCHEMA.iter().find(|(name, _)| *name == ty) else {
-            return Err(ctx(format!("unknown event type {ty:?}")));
-        };
-        for (name, kind) in schema.iter() {
-            let fv = v
-                .get(name)
-                .ok_or_else(|| ctx(format!("{ty}: missing field {name:?}")))?;
-            if !field_matches(fv, *kind) {
-                return Err(ctx(format!("{ty}: field {name:?} has wrong type")));
-            }
-        }
-        for (name, _) in fields {
-            if name != "cycle" && name != "type" && !schema.iter().any(|(n, _)| n == name) {
-                return Err(ctx(format!("{ty}: unexpected field {name:?}")));
-            }
-        }
+    let mut last = 0u64;
+    each_line(text, "events.jsonl", |v, ctx| {
+        check(v, LINE, ctx, "")?;
+        let cycle = int(v, "cycle");
+        ensure!(cycle >= last, "{ctx}: cycle {cycle} went backwards");
+        last = cycle;
+        let ty = string(v, "type");
         report.total += 1;
         match report.counts.iter_mut().find(|(k, _)| k == ty) {
             Some((_, n)) => *n += 1,
             None => report.counts.push((ty.to_string(), 1)),
         }
-    }
+        Ok(())
+    })?;
     report.counts.sort();
     Ok(report)
 }
 
+// --- timeseries.csv, histograms.json, Perfetto --------------------------------
+
 /// Validate the time-series CSV: a `cycle`-first header and integer rows of
 /// matching arity with strictly increasing cycles.  Returns the row count.
 pub fn validate_timeseries_csv(text: &str) -> Result<usize, String> {
-    let mut lines = text.lines();
+    let (file, mut lines) = ("timeseries.csv", text.lines());
     let header = lines.next().ok_or("timeseries.csv: empty file")?;
     let columns: Vec<&str> = header.split(',').collect();
-    if columns.first() != Some(&"cycle") {
-        return Err(format!(
-            "timeseries.csv: first column must be \"cycle\", got {:?}",
-            columns.first()
-        ));
-    }
-    let mut rows = 0;
-    let mut last_cycle = None::<u64>;
-    for (lineno, line) in lines.enumerate() {
+    ensure!(columns[0] == "cycle", "{file}: first column is not cycle");
+    let mut last = None::<u64>;
+    for (i, line) in lines.enumerate() {
+        let row = format!("{file} row {}", i + 1);
         let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != columns.len() {
-            return Err(format!(
-                "timeseries.csv row {}: {} cells, header has {}",
-                lineno + 1,
-                cells.len(),
-                columns.len()
-            ));
-        }
-        let mut parsed = Vec::with_capacity(cells.len());
-        for c in &cells {
-            parsed.push(c.parse::<u64>().map_err(|_| {
-                format!("timeseries.csv row {}: non-integer cell {c:?}", lineno + 1)
-            })?);
-        }
-        if let Some(prev) = last_cycle {
-            if parsed[0] <= prev {
-                return Err(format!(
-                    "timeseries.csv row {}: cycle {} not increasing",
-                    lineno + 1,
-                    parsed[0]
-                ));
-            }
-        }
-        last_cycle = Some(parsed[0]);
-        rows += 1;
+        let (n, want) = (cells.len(), columns.len());
+        ensure!(n == want, "{row}: {n} cells, header has {want}");
+        let bad = cells.iter().find(|c| c.parse::<u64>().is_err());
+        ensure!(bad.is_none(), "{row}: non-integer cell {}", bad.unwrap());
+        let cycle = cells[0].parse().ok();
+        ensure!(last < cycle, "{row}: cycle not increasing");
+        last = cycle;
     }
-    Ok(rows)
+    Ok(text.lines().count() - 1)
 }
+
+/// A bucketed histogram: `count` and the buckets that must sum to it.
+const BUCKETED: &[Field] = fields![count: U64, buckets: Buckets];
 
 /// Validate the histograms JSON: an object of named histograms whose bucket
 /// counts sum to their `count`.  Returns the histogram names.
 pub fn validate_histograms_json(text: &str) -> Result<Vec<String>, String> {
-    let v = json::parse(text).map_err(|e| format!("histograms.json: {e}"))?;
-    let Json::Obj(fields) = &v else {
-        return Err("histograms.json: not a JSON object".into());
-    };
-    let mut names = Vec::new();
-    for (name, h) in fields {
-        let count = h
-            .get("count")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("histograms.json {name}: missing count"))?;
-        let buckets = h
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("histograms.json {name}: missing buckets"))?;
-        let mut total = 0;
-        for b in buckets {
-            let pair = b
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("histograms.json {name}: bucket not a pair"))?;
-            total += pair[1]
-                .as_u64()
-                .ok_or_else(|| format!("histograms.json {name}: non-integer bucket count"))?;
-        }
-        if total != count {
-            return Err(format!(
-                "histograms.json {name}: buckets sum to {total}, count says {count}"
-            ));
-        }
-        for key in ["sum", "min", "max"] {
-            if h.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("histograms.json {name}: missing {key}"));
-            }
-        }
-        names.push(name.clone());
-    }
-    Ok(names)
+    // Histogram entries tolerate extra keys.
+    const HISTOGRAMS: Ty = Map(&Obj(fields![..BUCKETED, sum: U64, min: U64, max: U64, ..]));
+    let v = parse(text, "histograms.json")?;
+    check(&v, HISTOGRAMS, "histograms.json", "")?;
+    Ok(keys(&v))
 }
 
 /// Validate a Chrome trace-event document: `traceEvents` array whose
@@ -283,81 +438,32 @@ pub fn validate_perfetto(text: &str) -> Result<u64, String> {
         .get("traceEvents")
         .and_then(Json::as_array)
         .ok_or("perfetto: missing traceEvents array")?;
-    let mut depth: Vec<(u64, i64)> = Vec::new(); // (tid, open span depth)
+    let mut depth = std::collections::BTreeMap::new(); // tid -> open spans
     for (i, ev) in events.iter().enumerate() {
-        let ctx = |msg: String| format!("perfetto event {i}: {msg}");
-        if !ev.is_object() {
-            return Err(ctx("not an object".into()));
-        }
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing ph".into()))?;
+        let ctx = format!("perfetto event {i}");
+        ensure!(ev.is_object(), "{ctx}: not an object");
+        let ph = ev.get("ph").and_then(Json::as_str);
+        let ph = ph.ok_or_else(|| format!("{ctx}: missing ph"))?;
         match ph {
             "M" => {}
             "B" | "E" | "i" | "C" | "X" => {
-                if ev.get("ts").and_then(Json::as_u64).is_none() {
-                    return Err(ctx(format!("phase {ph} missing ts")));
-                }
-                let tid = ev.get("tid").and_then(Json::as_u64).unwrap_or(0);
-                let slot = match depth.iter_mut().find(|(t, _)| *t == tid) {
-                    Some(s) => s,
-                    None => {
-                        depth.push((tid, 0));
-                        depth.last_mut().unwrap()
-                    }
-                };
-                match ph {
-                    "B" => slot.1 += 1,
-                    "E" => {
-                        slot.1 -= 1;
-                        if slot.1 < 0 {
-                            return Err(ctx(format!("unbalanced E on tid {tid}")));
-                        }
-                    }
-                    _ => {}
-                }
+                let ts = at(ev, "ts").as_u64();
+                ensure!(ts.is_some(), "{ctx}: phase {ph} missing ts");
+                let tid = int(ev, "tid");
+                let open: &mut i64 = depth.entry(tid).or_default();
+                *open += (ph == "B") as i64 - (ph == "E") as i64;
+                ensure!(*open >= 0, "{ctx}: unbalanced E on tid {tid}");
             }
-            other => return Err(ctx(format!("unknown phase {other:?}"))),
+            other => return Err(format!("{ctx}: unknown phase {other:?}")),
         }
     }
     for (tid, d) in depth {
-        if d != 0 {
-            return Err(format!("perfetto: {d} unclosed span(s) on tid {tid}"));
-        }
+        ensure!(d == 0, "perfetto: {d} unclosed span(s) on tid {tid}");
     }
     Ok(events.len() as u64)
 }
 
-fn require_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn require_f64(v: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn require_str<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn no_extra_fields(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    let Json::Obj(fields) = v else {
-        return Err(format!("{ctx}: not a JSON object"));
-    };
-    for (name, _) in fields {
-        if !allowed.contains(&name.as_str()) {
-            return Err(format!("{ctx}: unexpected field {name:?}"));
-        }
-    }
-    Ok(())
-}
+// --- progress.jsonl, run.json, profile.json -----------------------------------
 
 /// What a validated `progress.jsonl` stream contained.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -373,243 +479,204 @@ pub struct ProgressReport {
 /// starts + cached satisfactions can explain (finishes ≥ starts, since
 /// cache hits emit finish-only lines).
 pub fn validate_progress_jsonl(text: &str) -> Result<ProgressReport, String> {
+    const LINE: Ty = Tagged(&Variants {
+        tag: "event",
+        common: fields![t_ms: U64, bench: Str, cfg: Str, worker: U64],
+        variants: &[
+            ("start", fields![]),
+            (
+                "finish",
+                fields![
+                    cache: OneOf(&["cold", "disk", "mem", "spec"]),
+                    dur_ms: U64, sim_cycles: U64, kcps: F64,
+                ],
+            ),
+        ],
+    });
     let mut report = ProgressReport::default();
-    let mut last_t = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("progress.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
+    let mut last = 0u64;
+    each_line(text, "progress.jsonl", |v, ctx| {
+        check(v, LINE, ctx, "")?;
+        let t = int(v, "t_ms");
+        ensure!(t >= last, "{ctx}: t_ms {t} went backwards from {last}");
+        last = t;
+        match string(v, "event") {
+            "start" => report.starts += 1,
+            _ => report.finishes += 1,
         }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        let event = require_str(&v, "event", &ctx)?;
-        let t = require_u64(&v, "t_ms", &ctx)?;
-        if t < last_t {
-            return Err(format!("{ctx}: t_ms {t} went backwards from {last_t}"));
-        }
-        last_t = t;
-        require_str(&v, "bench", &ctx)?;
-        require_str(&v, "cfg", &ctx)?;
-        require_u64(&v, "worker", &ctx)?;
-        match event {
-            "start" => {
-                no_extra_fields(&v, &["event", "t_ms", "bench", "cfg", "worker"], &ctx)?;
-                report.starts += 1;
-            }
-            "finish" => {
-                let cache = require_str(&v, "cache", &ctx)?;
-                if !["cold", "disk", "mem", "spec"].contains(&cache) {
-                    return Err(format!("{ctx}: unknown cache source {cache:?}"));
-                }
-                require_u64(&v, "dur_ms", &ctx)?;
-                require_u64(&v, "sim_cycles", &ctx)?;
-                require_f64(&v, "kcps", &ctx)?;
-                no_extra_fields(
-                    &v,
-                    &[
-                        "event",
-                        "t_ms",
-                        "bench",
-                        "cfg",
-                        "worker",
-                        "cache",
-                        "dur_ms",
-                        "sim_cycles",
-                        "kcps",
-                    ],
-                    &ctx,
-                )?;
-                report.finishes += 1;
-            }
-            other => return Err(format!("{ctx}: unknown event {other:?}")),
-        }
-    }
-    if report.finishes < report.starts {
-        return Err(format!(
-            "progress.jsonl: {} starts but only {} finishes",
-            report.starts, report.finishes
-        ));
-    }
+        Ok(())
+    })?;
+    let ProgressReport { starts, finishes } = report;
+    ensure!(finishes >= starts, "progress.jsonl: unfinished starts");
     Ok(report)
 }
+
+/// Where completed work came from: fresh simulation, the on-disk store,
+/// or the in-memory memo.
+const CACHE_SPLIT: &[Field] = fields![cold: U64, disk_hits: U64, mem_hits: U64];
+
+const RUN: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-run-manifest-v1"),
+        scale: U64, host: Str, sim_revision: U64, wall_s: F64,
+        simulations: Obj(fields![lookups: U64, ..CACHE_SPLIT, cache_hit_rate: F64]),
+        eta: Obj(fields![mean_cold_ms: F64, sim_cycles_per_sec: F64]),
+        slowest: Arr(&Obj(fields![
+            bench: Str, cfg: Str, cache: OneOf(&["cold", "disk", "mem"]), dur_ms: U64,
+        ])),
+        tables: Arr(&Str),
+        metrics: Map(&Map(&U64)),
+    ]),
+    rules: |v| {
+        let sims = at(v, "simulations");
+        let (split, lookups) = (total(sims, CACHE_SPLIT)?, int(sims, "lookups"));
+        ensure!(split == lookups, "simulations: sources sum != lookups");
+        within("simulations", fraction(sims, "cache_hit_rate"))
+    },
+};
 
 /// Validate a `run.json` manifest (`wec-run-manifest-v1`).  Returns the
 /// number of metric points the manifest carries.
 pub fn validate_run_json(text: &str) -> Result<usize, String> {
-    let v = json::parse(text).map_err(|e| format!("run.json: {e}"))?;
-    let ctx = "run.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-run-manifest-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(&v, "scale", ctx)?;
-    require_str(&v, "host", ctx)?;
-    require_u64(&v, "sim_revision", ctx)?;
-    require_f64(&v, "wall_s", ctx)?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "scale",
-            "host",
-            "sim_revision",
-            "wall_s",
-            "simulations",
-            "eta",
-            "slowest",
-            "tables",
-            "metrics",
-        ],
-        ctx,
-    )?;
-
-    let sims = v
-        .get("simulations")
-        .ok_or_else(|| format!("{ctx}: missing \"simulations\""))?;
-    let sctx = "run.json simulations";
-    let lookups = require_u64(sims, "lookups", sctx)?;
-    let cold = require_u64(sims, "cold", sctx)?;
-    let disk = require_u64(sims, "disk_hits", sctx)?;
-    let mem = require_u64(sims, "mem_hits", sctx)?;
-    if cold + disk + mem != lookups {
-        return Err(format!(
-            "{sctx}: cold {cold} + disk {disk} + mem {mem} != lookups {lookups}"
-        ));
-    }
-    let rate = require_f64(sims, "cache_hit_rate", sctx)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("{sctx}: cache_hit_rate {rate} out of [0,1]"));
-    }
-    no_extra_fields(
-        sims,
-        &["lookups", "cold", "disk_hits", "mem_hits", "cache_hit_rate"],
-        sctx,
-    )?;
-
-    let eta = v
-        .get("eta")
-        .ok_or_else(|| format!("{ctx}: missing \"eta\""))?;
-    require_f64(eta, "mean_cold_ms", "run.json eta")?;
-    require_f64(eta, "sim_cycles_per_sec", "run.json eta")?;
-    no_extra_fields(eta, &["mean_cold_ms", "sim_cycles_per_sec"], "run.json eta")?;
-
-    let slowest = v
-        .get("slowest")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"slowest\" array"))?;
-    for (i, p) in slowest.iter().enumerate() {
-        let pctx = format!("run.json slowest[{i}]");
-        require_str(p, "bench", &pctx)?;
-        require_str(p, "cfg", &pctx)?;
-        let cache = require_str(p, "cache", &pctx)?;
-        if !["cold", "disk", "mem"].contains(&cache) {
-            return Err(format!("{pctx}: unknown cache source {cache:?}"));
-        }
-        require_u64(p, "dur_ms", &pctx)?;
-        no_extra_fields(p, &["bench", "cfg", "cache", "dur_ms"], &pctx)?;
-    }
-
-    let tables = v
-        .get("tables")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"tables\" array"))?;
-    for t in tables {
-        if t.as_str().is_none() {
-            return Err(format!("{ctx}: non-string table name"));
-        }
-    }
-
-    let metrics = v
-        .get("metrics")
-        .ok_or_else(|| format!("{ctx}: missing \"metrics\""))?;
-    let Json::Obj(points) = metrics else {
-        return Err(format!("{ctx}: \"metrics\" is not an object"));
-    };
-    for (label, point) in points {
-        let Json::Obj(kv) = point else {
-            return Err(format!("{ctx}: metrics point {label:?} is not an object"));
-        };
-        for (metric, value) in kv {
-            if value.as_u64().is_none() {
-                return Err(format!(
-                    "{ctx}: metrics point {label:?} field {metric:?} is not a u64"
-                ));
-            }
-        }
-    }
-    Ok(points.len())
+    let v = parse(text, "run.json")?;
+    RUN.validate(&v, "run.json")?;
+    Ok(members(at(&v, "metrics")).len())
 }
+
+const PROFILE: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-profile-v1"),
+        stride: U64, sampled_cycles: U64, total_cycles: U64, wall_ns_sampled: U64,
+        phases: Map(&Obj(fields![ns: U64, share: F64])),
+    ]),
+    rules: |v| {
+        ensure!(int(v, "stride") > 0, "stride must be >= 1");
+        let (sampled, cycles) = (int(v, "sampled_cycles"), int(v, "total_cycles"));
+        ensure!(sampled <= cycles, "sampled_cycles {sampled} > total_cycles");
+        let known = crate::profile::Phase::ALL.map(|p| p.name());
+        let phases = members(at(v, "phases"));
+        for (name, phase) in phases {
+            ensure!(known.contains(&name.as_str()), "unknown phase {name:?}");
+            within(format!("phase {name}"), fraction(phase, "share"))?;
+        }
+        let (n, want) = (phases.len(), known.len());
+        ensure!(n == want, "{n} phases present, schema declares {want}");
+        let ns = sum(phases.iter().map(|(_, phase)| int(phase, "ns")))?;
+        let wall = int(v, "wall_ns_sampled");
+        ensure!(ns == wall, "phase ns sum to {ns}, wall_ns_sampled {wall}");
+        Ok(())
+    },
+};
 
 /// Validate a `profile.json` document (`wec-profile-v1`) against the
 /// [`crate::profile::Phase`] set.  Returns the phase names.
 pub fn validate_profile_json(text: &str) -> Result<Vec<String>, String> {
-    let v = json::parse(text).map_err(|e| format!("profile.json: {e}"))?;
-    let ctx = "profile.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-profile-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
+    let v = parse(text, "profile.json")?;
+    PROFILE.validate(&v, "profile.json")?;
+    Ok(keys(at(&v, "phases")))
+}
+
+// --- attribution ---------------------------------------------------------------
+
+/// What became of the WEC's fills; they must add up to `wec_fills`.
+const FATES: &[Field] = fields![useful: U64, wasted: U64, victim_rescued: U64, still_resident: U64];
+
+/// The lifecycle counters: a job record's attribution summary, and the
+/// core of every attribution totals row.
+const LIFECYCLE: &[Field] = fields![wec_fills: U64, ..FATES];
+
+/// Where the WEC's fills came from; they too must add up to `wec_fills`.
+const ORIGINS: &[Field] = fields![fills_wrong: U64, fills_victim: U64, fills_prefetch: U64];
+
+const ATTR_TOTALS: &[Field] = fields![..LIFECYCLE, ..ORIGINS, pollution_bytes: U64];
+
+/// Per-set heatmap arrays, one entry per L1 set.
+const SET_ARRAYS: &[Field] = fields![
+    l1_accesses: Arr(&U64), l1_misses: Arr(&U64), side_fills: Arr(&U64),
+    side_hits: Arr(&U64), victim_transfers: Arr(&U64),
+];
+
+const ATTRIBUTION: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-attribution-v1"),
+        block_bytes: U64, l1_sets: U64, n_tus: U64,
+        totals: Obj(ATTR_TOTALS),
+        tus: Arr(&Obj(ATTR_TOTALS)),
+        // Only the count and buckets of the timeliness histogram are held.
+        timeliness: Obj(fields![..BUCKETED, ..]),
+        top_pcs: Arr(&Obj(fields![
+            pc: U64, useful: U64, wasted: U64, median_timeliness: U64, pollution_bytes: U64,
+        ])),
+        sets: Obj(SET_ARRAYS),
+    ]),
+    rules: attribution_rules,
+};
+
+/// `useful + wasted + victim_rescued + still_resident == wec_fills`.
+fn conserve(v: &Json) -> Rule {
+    let (fates, fills) = (total(v, FATES)?, int(v, "wec_fills"));
+    ensure!(fates == fills, "conservation: {fates} != wec_fills {fills}");
+    Ok(())
+}
+
+/// `pollution_bytes == wasted * block_bytes`, with the product checked.
+fn pollution(v: &Json, block_bytes: u64) -> Rule {
+    let want = int(v, "wasted").checked_mul(block_bytes);
+    let got = int(v, "pollution_bytes");
+    ensure!(want == Some(got), "pollution_bytes {got} != wasted * block");
+    Ok(())
+}
+
+/// One totals row: conservation, the origin split, and pollution.
+fn totals_rules(v: &Json, block_bytes: u64) -> Rule {
+    conserve(v)?;
+    let (origins, fills) = (total(v, ORIGINS)?, int(v, "wec_fills"));
+    ensure!(origins == fills, "origins {origins} != wec_fills {fills}");
+    pollution(v, block_bytes)
+}
+
+fn attribution_rules(v: &Json) -> Rule {
+    let (block, sets, n_tus) = (int(v, "block_bytes"), int(v, "l1_sets"), int(v, "n_tus"));
+    ensure!(block > 0 && sets > 0 && n_tus > 0, "degenerate geometry");
+    let totals = at(v, "totals");
+    within("totals", totals_rules(totals, block))?;
+    let tus = array(v, "tus");
+    ensure!(tus.len() as u64 == n_tus, "TU rows != n_tus {n_tus}");
+    for (i, tu) in tus.iter().enumerate() {
+        within(format!("tus[{i}]"), totals_rules(tu, block))?;
     }
-    let stride = require_u64(&v, "stride", ctx)?;
-    if stride == 0 {
-        return Err(format!("{ctx}: stride must be >= 1"));
+    for name in names(ATTR_TOTALS) {
+        let summed = sum(tus.iter().map(|tu| int(tu, name)))?;
+        ensure!(summed == int(totals, name), "per-TU {name} sum != totals");
     }
-    let sampled = require_u64(&v, "sampled_cycles", ctx)?;
-    let total = require_u64(&v, "total_cycles", ctx)?;
-    if sampled > total {
-        return Err(format!(
-            "{ctx}: sampled_cycles {sampled} exceeds total_cycles {total}"
-        ));
+    let (useful, timely) = (int(totals, "useful"), int(at(v, "timeliness"), "count"));
+    ensure!(timely == useful, "timeliness count != useful {useful}");
+    let top = array(v, "top_pcs");
+    // Sorted by credit: useful desc, then wasted desc, then pc asc.
+    let key = |r: &Json| (int(r, "useful"), int(r, "wasted"), Reverse(int(r, "pc")));
+    for (i, row) in top.iter().enumerate() {
+        within(format!("top_pcs[{i}]"), pollution(row, block))?;
+        let sorted = i == 0 || key(row) <= key(&top[i - 1]);
+        ensure!(sorted, "top_pcs[{i}]: not sorted by credit");
     }
-    let wall = require_u64(&v, "wall_ns_sampled", ctx)?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "stride",
-            "sampled_cycles",
-            "total_cycles",
-            "wall_ns_sampled",
-            "phases",
-        ],
-        ctx,
-    )?;
-    let phases = v
-        .get("phases")
-        .ok_or_else(|| format!("{ctx}: missing \"phases\""))?;
-    let Json::Obj(fields) = phases else {
-        return Err(format!("{ctx}: \"phases\" is not an object"));
+    let claimed = sum(top.iter().map(|r| int(r, "useful")))?;
+    ensure!(claimed <= useful, "top_pcs claim {claimed} > useful");
+    let heat = at(v, "sets");
+    let mut sums = Vec::new();
+    for name in names(SET_ARRAYS) {
+        let a = array(heat, name);
+        ensure!(a.len() as u64 == sets, "sets {name}: length != l1_sets");
+        sums.push(sum(a.iter().map(uint))?);
+    }
+    let &[accesses, misses, side_fills, _, victims] = &sums[..] else {
+        unreachable!("SET_ARRAYS declares five arrays")
     };
-    let known: Vec<&str> = crate::profile::Phase::ALL
-        .iter()
-        .map(|p| p.name())
-        .collect();
-    let mut names = Vec::new();
-    let mut ns_total = 0u64;
-    for (name, ph) in fields {
-        if !known.contains(&name.as_str()) {
-            return Err(format!("{ctx}: unknown phase {name:?}"));
-        }
-        let pctx = format!("profile.json phase {name}");
-        ns_total += require_u64(ph, "ns", &pctx)?;
-        let share = require_f64(ph, "share", &pctx)?;
-        if !(0.0..=1.0).contains(&share) {
-            return Err(format!("{pctx}: share {share} out of [0,1]"));
-        }
-        no_extra_fields(ph, &["ns", "share"], &pctx)?;
-        names.push(name.clone());
-    }
-    if names.len() != known.len() {
-        return Err(format!(
-            "{ctx}: {} phases present, schema declares {}",
-            names.len(),
-            known.len()
-        ));
-    }
-    if ns_total != wall {
-        return Err(format!(
-            "{ctx}: phase ns sum to {ns_total}, wall_ns_sampled says {wall}"
-        ));
-    }
-    Ok(names)
+    ensure!(misses <= accesses, "sets: l1_misses > l1_accesses");
+    let side = sum([int(totals, "fills_wrong"), int(totals, "fills_prefetch")])?;
+    ensure!(side_fills == side, "sets: side_fills != wrong + prefetch");
+    let by_victim = int(totals, "fills_victim");
+    ensure!(victims == by_victim, "sets: victim_transfers mismatch");
+    Ok(())
 }
 
 /// What a validated `wec-attribution-v1` document contained.
@@ -622,81 +689,6 @@ pub struct AttributionCheck {
     pub top_pcs: u64,
 }
 
-/// The eight lifecycle counters of one attribution totals object, checked
-/// strictly: exactly the declared fields, the conservation invariant
-/// `useful + wasted + victim_rescued + still_resident == wec_fills`, the
-/// origin split summing to the same total, and `pollution_bytes` equal to
-/// `wasted * block_bytes`.
-fn attr_totals(v: &Json, block_bytes: u64, ctx: &str) -> Result<[u64; 8], String> {
-    const KEYS: [&str; 8] = [
-        "wec_fills",
-        "fills_wrong",
-        "fills_victim",
-        "fills_prefetch",
-        "useful",
-        "wasted",
-        "victim_rescued",
-        "still_resident",
-    ];
-    let mut out = [0u64; 8];
-    for (slot, key) in out.iter_mut().zip(KEYS) {
-        *slot = require_u64(v, key, ctx)?;
-    }
-    let [fills, wrong, victim, prefetch, useful, wasted, rescued, resident] = out;
-    if useful + wasted + rescued + resident != fills {
-        return Err(format!(
-            "{ctx}: conservation violated: {useful}+{wasted}+{rescued}+{resident} != {fills}"
-        ));
-    }
-    if wrong + victim + prefetch != fills {
-        return Err(format!(
-            "{ctx}: origin split {wrong}+{victim}+{prefetch} != wec_fills {fills}"
-        ));
-    }
-    let pollution = require_u64(v, "pollution_bytes", ctx)?;
-    if pollution != wasted * block_bytes {
-        return Err(format!(
-            "{ctx}: pollution_bytes {pollution} != wasted {wasted} * block_bytes {block_bytes}"
-        ));
-    }
-    no_extra_fields(
-        v,
-        &[
-            "wec_fills",
-            "fills_wrong",
-            "fills_victim",
-            "fills_prefetch",
-            "useful",
-            "wasted",
-            "victim_rescued",
-            "still_resident",
-            "pollution_bytes",
-        ],
-        ctx,
-    )?;
-    Ok(out)
-}
-
-fn attr_set_array(v: &Json, key: &str, len: u64, ctx: &str) -> Result<u64, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing/invalid array {key:?}"))?;
-    if arr.len() as u64 != len {
-        return Err(format!(
-            "{ctx}: {key:?} has {} entries, l1_sets says {len}",
-            arr.len()
-        ));
-    }
-    let mut sum = 0u64;
-    for (i, e) in arr.iter().enumerate() {
-        sum += e
-            .as_u64()
-            .ok_or_else(|| format!("{ctx}: {key:?}[{i}] is not a u64"))?;
-    }
-    Ok(sum)
-}
-
 /// Validate a `wec-attribution-v1` document (the speculation attribution
 /// ledger's `attribution.json`).  Schema-strict like every validator
 /// here, and enforces the ledger invariants per TU **and** globally:
@@ -704,169 +696,15 @@ fn attr_set_array(v: &Json, key: &str, len: u64, ctx: &str) -> Result<u64, Strin
 /// totals, the timeliness histogram counting exactly the useful lines,
 /// and set heatmaps consistent with the fill counters.
 pub fn validate_attribution_json(text: &str) -> Result<AttributionCheck, String> {
-    let ctx = "attribution.json";
-    let v = json::parse(text).map_err(|e| format!("{ctx}: {e}"))?;
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-attribution-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    let block_bytes = require_u64(&v, "block_bytes", ctx)?;
-    let l1_sets = require_u64(&v, "l1_sets", ctx)?;
-    let n_tus = require_u64(&v, "n_tus", ctx)?;
-    if block_bytes == 0 || l1_sets == 0 || n_tus == 0 {
-        return Err(format!(
-            "{ctx}: degenerate geometry ({block_bytes} B blocks, {l1_sets} sets, {n_tus} TUs)"
-        ));
-    }
-    let totals = v
-        .get("totals")
-        .ok_or_else(|| format!("{ctx}: missing \"totals\""))?;
-    let global = attr_totals(totals, block_bytes, &format!("{ctx} totals"))?;
-    let tus = v
-        .get("tus")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"tus\" array"))?;
-    if tus.len() as u64 != n_tus {
-        return Err(format!("{ctx}: {} TU rows, n_tus says {n_tus}", tus.len()));
-    }
-    let mut summed = [0u64; 8];
-    for (i, tu) in tus.iter().enumerate() {
-        let row = attr_totals(tu, block_bytes, &format!("{ctx} tus[{i}]"))?;
-        for (s, r) in summed.iter_mut().zip(row) {
-            *s += r;
-        }
-    }
-    if summed != global {
-        return Err(format!(
-            "{ctx}: per-TU totals {summed:?} do not sum to the global totals {global:?}"
-        ));
-    }
-    let timeliness = v
-        .get("timeliness")
-        .ok_or_else(|| format!("{ctx}: missing \"timeliness\""))?;
-    let t_count = require_u64(timeliness, "count", &format!("{ctx} timeliness"))?;
-    let buckets = timeliness
-        .get("buckets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx} timeliness: missing buckets"))?;
-    let mut b_total = 0u64;
-    for b in buckets {
-        let pair = b
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{ctx} timeliness: bucket not a pair"))?;
-        b_total += pair[1]
-            .as_u64()
-            .ok_or_else(|| format!("{ctx} timeliness: non-integer bucket count"))?;
-    }
-    if b_total != t_count {
-        return Err(format!(
-            "{ctx} timeliness: buckets sum to {b_total}, count says {t_count}"
-        ));
-    }
-    let useful = global[4];
-    if t_count != useful {
-        return Err(format!(
-            "{ctx}: timeliness count {t_count} != useful lines {useful}"
-        ));
-    }
-    let top = v
-        .get("top_pcs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"top_pcs\" array"))?;
-    let mut prev: Option<(u64, u64, u64)> = None;
-    let mut top_useful = 0u64;
-    for (i, row) in top.iter().enumerate() {
-        let rctx = format!("{ctx} top_pcs[{i}]");
-        let pc = require_u64(row, "pc", &rctx)?;
-        let u = require_u64(row, "useful", &rctx)?;
-        let w = require_u64(row, "wasted", &rctx)?;
-        require_u64(row, "median_timeliness", &rctx)?;
-        let p = require_u64(row, "pollution_bytes", &rctx)?;
-        if p != w * block_bytes {
-            return Err(format!("{rctx}: pollution_bytes {p} != wasted {w} * block"));
-        }
-        no_extra_fields(
-            row,
-            &[
-                "pc",
-                "useful",
-                "wasted",
-                "median_timeliness",
-                "pollution_bytes",
-            ],
-            &rctx,
-        )?;
-        // Sorted: useful desc, then wasted desc, then pc asc.
-        if let Some((pu, pw, ppc)) = prev {
-            if (u, w, std::cmp::Reverse(pc)) > (pu, pw, std::cmp::Reverse(ppc)) {
-                return Err(format!("{rctx}: table not sorted by credit"));
-            }
-        }
-        prev = Some((u, w, pc));
-        top_useful += u;
-    }
-    if top_useful > useful {
-        return Err(format!(
-            "{ctx}: top_pcs claim {top_useful} useful lines, totals say {useful}"
-        ));
-    }
-    let sets = v
-        .get("sets")
-        .ok_or_else(|| format!("{ctx}: missing \"sets\""))?;
-    let sctx = format!("{ctx} sets");
-    let acc = attr_set_array(sets, "l1_accesses", l1_sets, &sctx)?;
-    let mis = attr_set_array(sets, "l1_misses", l1_sets, &sctx)?;
-    if mis > acc {
-        return Err(format!("{sctx}: {mis} misses exceed {acc} accesses"));
-    }
-    let side_fills = attr_set_array(sets, "side_fills", l1_sets, &sctx)?;
-    attr_set_array(sets, "side_hits", l1_sets, &sctx)?;
-    let victims = attr_set_array(sets, "victim_transfers", l1_sets, &sctx)?;
-    if side_fills != global[1] + global[3] {
-        return Err(format!(
-            "{sctx}: side_fills sum {side_fills} != wrong {} + prefetch {}",
-            global[1], global[3]
-        ));
-    }
-    if victims != global[2] {
-        return Err(format!(
-            "{sctx}: victim_transfers sum {victims} != fills_victim {}",
-            global[2]
-        ));
-    }
-    no_extra_fields(
-        sets,
-        &[
-            "l1_accesses",
-            "l1_misses",
-            "side_fills",
-            "side_hits",
-            "victim_transfers",
-        ],
-        &sctx,
-    )?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "block_bytes",
-            "l1_sets",
-            "n_tus",
-            "totals",
-            "tus",
-            "timeliness",
-            "top_pcs",
-            "sets",
-        ],
-        ctx,
-    )?;
+    let v = parse(text, "attribution.json")?;
+    ATTRIBUTION.validate(&v, "attribution.json")?;
+    let totals = at(&v, "totals");
     Ok(AttributionCheck {
-        n_tus,
-        wec_fills: global[0],
-        useful,
-        wasted: global[5],
-        top_pcs: top.len() as u64,
+        n_tus: int(&v, "n_tus"),
+        wec_fills: int(totals, "wec_fills"),
+        useful: int(totals, "useful"),
+        wasted: int(totals, "wasted"),
+        top_pcs: array(&v, "top_pcs").len() as u64,
     })
 }
 
@@ -874,155 +712,78 @@ pub fn validate_attribution_json(text: &str) -> Result<AttributionCheck, String>
 /// either empty (`{}` — attribution off or not applicable) or exactly the
 /// five lifecycle counters with conservation holding.
 pub fn validate_attr_summary(v: &Json, ctx: &str) -> Result<(), String> {
-    let Json::Obj(fields) = v else {
-        return Err(format!("{ctx}: not a JSON object"));
-    };
-    if fields.is_empty() {
+    if matches!(v, Json::Obj(m) if m.is_empty()) {
         return Ok(());
     }
-    let fills = require_u64(v, "wec_fills", ctx)?;
-    let useful = require_u64(v, "useful", ctx)?;
-    let wasted = require_u64(v, "wasted", ctx)?;
-    let rescued = require_u64(v, "victim_rescued", ctx)?;
-    let resident = require_u64(v, "still_resident", ctx)?;
-    if useful + wasted + rescued + resident != fills {
-        return Err(format!(
-            "{ctx}: conservation violated: {useful}+{wasted}+{rescued}+{resident} != {fills}"
-        ));
-    }
-    no_extra_fields(
-        v,
-        &[
-            "wec_fills",
-            "useful",
-            "wasted",
-            "victim_rescued",
-            "still_resident",
-        ],
-        ctx,
-    )
+    check_obj(v, &[LIFECYCLE], ctx)?;
+    within(ctx, conserve(v))
 }
+
+// --- serve: job records, jobs.jsonl, access.jsonl ----------------------------
+
+/// The fields a job record shares with the dashboard's slim job rows.
+/// `speculative` is emitted only by `--speculate` servers, and only as
+/// `true`; its absence means a plain demand job.
+const JOB_ROW: &[Field] = fields![
+    id: U64, kind: OneOf(&["sim", "replay"]), bench: Str, cfg: Str,
+    state: OneOf(&["queued", "running", "done", "failed", "cancelled"]),
+    source: OneOf(&["none", "cold", "disk", "mem", "spec"]),
+    submissions: U64, worker: U64, dur_ms: U64, sim_cycles: U64,
+    speculative?: Bool,
+];
+
+/// The rules every job row obeys.  Returns whether the job is speculative.
+fn job_row_rules(v: &Json) -> Result<bool, String> {
+    let speculative = v.get("speculative").is_some();
+    let flag = v.get("speculative").map(|f| f.as_bool() == Some(true));
+    ensure!(flag.unwrap_or(true), "\"speculative\" must be true");
+    // A speculative job that no demand request claimed has zero
+    // submissions; every demand job has at least one.
+    let submitted = int(v, "submissions") > 0;
+    ensure!(speculative || submitted, "submissions must be >= 1");
+    Ok(speculative)
+}
+
+const JOB_RECORD: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-job-record-v1"),
+        ..JOB_ROW,
+        scale: U64, submit_t_ms: U64, start_t_ms: U64, finish_t_ms: U64,
+        // Stamped only by daemons started with `--backend-id`.
+        backend_id?: NonEmpty,
+        error: Str,
+        metrics: Map(&U64),
+        // `{}` or the LIFECYCLE counters; `validate_attr_summary` holds
+        // the exact field set.
+        attribution: Map(&U64),
+    ]),
+    rules: |v| {
+        let speculative = job_row_rules(v)?;
+        let (state, source) = (string(v, "state"), string(v, "source"));
+        let done = state == "done";
+        ensure!(!done || source != "none", "done job has no cache source");
+        if state == "cancelled" {
+            ensure!(speculative, "cancelled job is not speculative");
+            ensure!(source == "none", "cancelled job carries source {source:?}");
+        }
+        let (submit, start) = (int(v, "submit_t_ms"), int(v, "start_t_ms"));
+        ensure!(start == 0 || start >= submit, "start_t_ms < submit");
+        let finish = int(v, "finish_t_ms");
+        ensure!(finish == 0 || finish >= start, "finish_t_ms < start");
+        let (error, failed) = (string(v, "error"), state == "failed");
+        ensure!(failed != error.is_empty(), "{state} job, error {error:?}");
+        let empty = members(at(v, "metrics")).is_empty();
+        ensure!(!done || !empty, "done job has no metrics");
+        validate_attr_summary(at(v, "attribution"), "attribution")
+    },
+};
 
 /// Validate one `wec-job-record-v1` document (a serve-mode job record, as
 /// returned by `GET /jobs/<id>` and logged to `jobs.jsonl`).  Strict like
 /// every other validator here: exactly the declared fields, each with the
 /// right type, with the cross-field invariants a consistent record obeys.
 pub fn validate_job_record(v: &Json, ctx: &str) -> Result<(), String> {
-    let schema = require_str(v, "schema", ctx)?;
-    if schema != "wec-job-record-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(v, "id", ctx)?;
-    let kind = require_str(v, "kind", ctx)?;
-    if !["sim", "replay"].contains(&kind) {
-        return Err(format!("{ctx}: unknown kind {kind:?}"));
-    }
-    require_str(v, "bench", ctx)?;
-    require_u64(v, "scale", ctx)?;
-    require_str(v, "cfg", ctx)?;
-    let state = require_str(v, "state", ctx)?;
-    if !["queued", "running", "done", "failed", "cancelled"].contains(&state) {
-        return Err(format!("{ctx}: unknown state {state:?}"));
-    }
-    let source = require_str(v, "source", ctx)?;
-    if !["none", "cold", "disk", "mem", "spec"].contains(&source) {
-        return Err(format!("{ctx}: unknown source {source:?}"));
-    }
-    if state == "done" && source == "none" {
-        return Err(format!("{ctx}: done job has no cache source"));
-    }
-    // `speculative` is emitted only by `--speculate` servers and only as
-    // `true`; its absence means a plain demand job.
-    let speculative = match v.get("speculative") {
-        None => false,
-        Some(Json::Bool(true)) => true,
-        Some(_) => return Err(format!("{ctx}: \"speculative\" must be true when present")),
-    };
-    if state == "cancelled" {
-        if !speculative {
-            return Err(format!("{ctx}: cancelled job is not speculative"));
-        }
-        if source != "none" {
-            return Err(format!("{ctx}: cancelled job carries source {source:?}"));
-        }
-    }
-    let submissions = require_u64(v, "submissions", ctx)?;
-    // A speculative job that was never claimed by a demand request has
-    // zero submissions; every demand job has at least one.
-    if submissions == 0 && !speculative {
-        return Err(format!("{ctx}: submissions must be >= 1"));
-    }
-    require_u64(v, "worker", ctx)?;
-    let submit = require_u64(v, "submit_t_ms", ctx)?;
-    let start = require_u64(v, "start_t_ms", ctx)?;
-    let finish = require_u64(v, "finish_t_ms", ctx)?;
-    if start > 0 && start < submit {
-        return Err(format!("{ctx}: start_t_ms {start} before submit {submit}"));
-    }
-    if finish > 0 && finish < start {
-        return Err(format!("{ctx}: finish_t_ms {finish} before start {start}"));
-    }
-    require_u64(v, "dur_ms", ctx)?;
-    require_u64(v, "sim_cycles", ctx)?;
-    let error = require_str(v, "error", ctx)?;
-    if state == "failed" && error.is_empty() {
-        return Err(format!("{ctx}: failed job carries no error message"));
-    }
-    if state != "failed" && !error.is_empty() {
-        return Err(format!("{ctx}: non-failed job carries error {error:?}"));
-    }
-    let metrics = v
-        .get("metrics")
-        .ok_or_else(|| format!("{ctx}: missing \"metrics\""))?;
-    let Json::Obj(kv) = metrics else {
-        return Err(format!("{ctx}: \"metrics\" is not an object"));
-    };
-    for (k, val) in kv {
-        if val.as_u64().is_none() {
-            return Err(format!("{ctx}: metric {k:?} is not a u64"));
-        }
-    }
-    if state == "done" && kv.is_empty() {
-        return Err(format!("{ctx}: done job has no metrics"));
-    }
-    let attribution = v
-        .get("attribution")
-        .ok_or_else(|| format!("{ctx}: missing \"attribution\""))?;
-    validate_attr_summary(attribution, &format!("{ctx} attribution"))?;
-    // `backend_id` is emitted only by daemons started with `--backend-id`
-    // (sharded clusters); its absence is a single-node record.
-    if v.get("backend_id").is_some() {
-        let b = require_str(v, "backend_id", ctx)?;
-        if b.is_empty() {
-            return Err(format!("{ctx}: \"backend_id\" must be non-empty"));
-        }
-    }
-    no_extra_fields(
-        v,
-        &[
-            "schema",
-            "id",
-            "kind",
-            "bench",
-            "scale",
-            "cfg",
-            "state",
-            "source",
-            "submissions",
-            "worker",
-            "submit_t_ms",
-            "start_t_ms",
-            "finish_t_ms",
-            "dur_ms",
-            "sim_cycles",
-            "speculative",
-            "backend_id",
-            "error",
-            "metrics",
-            "attribution",
-        ],
-        ctx,
-    )
+    JOB_RECORD.validate(v, ctx)
 }
 
 /// What a validated `jobs.jsonl` stream contained.
@@ -1039,34 +800,125 @@ pub struct JobsReport {
 /// for reclaimed speculations — `cancelled`).
 pub fn validate_jobs_jsonl(text: &str) -> Result<JobsReport, String> {
     let mut report = JobsReport::default();
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("jobs.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
-        }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        validate_job_record(&v, &ctx)?;
-        match v.get("state").and_then(Json::as_str) {
-            Some("done") => report.done += 1,
-            Some("failed") => report.failed += 1,
-            Some("cancelled") => report.cancelled += 1,
-            other => {
-                return Err(format!(
-                    "{ctx}: non-terminal state {other:?} in the terminal log"
-                ))
-            }
+    each_line(text, "jobs.jsonl", |v, ctx| {
+        validate_job_record(v, ctx)?;
+        match string(v, "state") {
+            "done" => report.done += 1,
+            "failed" => report.failed += 1,
+            "cancelled" => report.cancelled += 1,
+            other => return Err(format!("{ctx}: non-terminal state {other:?}")),
         }
         report.total += 1;
-    }
+        Ok(())
+    })?;
     Ok(report)
+}
+
+/// Validate an `access.jsonl` stream (`wec-access-log-v1`): one line per
+/// answered HTTP request.  Timestamps are *not* required monotonic —
+/// concurrent connections finish out of order.  Parse-failure lines are
+/// logged with method `"-"`, path `"-"`, status 400, so those pass too.
+/// Returns the request count.
+pub fn validate_access_jsonl(text: &str) -> Result<u64, String> {
+    const LINE: Schema = Schema {
+        shape: Obj(fields![
+            t_ms: U64, method: NonEmpty, path: NonEmpty, status: U64, dur_us: U64, bytes: U64,
+        ]),
+        rules: |v| {
+            let status = int(v, "status");
+            ensure!((100..=599).contains(&status), "status {status}");
+            Ok(())
+        },
+    };
+    let mut total = 0u64;
+    each_line(text, "access.jsonl", |v, ctx| {
+        total += 1;
+        LINE.validate(v, ctx)
+    })?;
+    Ok(total)
+}
+
+// --- serve stats, router stats, dashboard --------------------------------------
+
+const JOB_COUNTS: &[Field] = fields![submitted: U64, deduped: U64, completed: U64, failed: U64];
+
+const QUEUE_V1: &[Field] = fields![depth: U64, cap: U64, rejected: U64];
+
+/// The v2 cache split: v1's plus completions served by a speculation.
+const CACHE_V2: &[Field] = fields![..CACHE_SPLIT, spec_hits: U64];
+
+/// What became of started speculations; they must add up to `started`.
+const SPEC_OUTCOMES: &[Field] = fields![hit: U64, waste: U64, cancelled: U64, pending: U64];
+
+/// The speculation ledger.
+const SPEC: &[Field] = fields![started: U64, miss: U64, ..SPEC_OUTCOMES];
+
+/// `wec-serve-stats-v1`, and the `wec-serve-stats-v2` superset a
+/// `--speculate` server emits: a bigger queue and cache block plus `spec`.
+const SERVE_STATS: Variants = Variants {
+    tag: "schema",
+    common: fields![
+        uptime_ms: U64, workers: U64, busy_workers: U64, draining: Bool,
+        // Stamped only by daemons started with `--backend-id`.
+        backend_id?: NonEmpty,
+        jobs: Obj(JOB_COUNTS),
+        throughput: Obj(fields![jobs_per_sec: F64, utilization: F64]),
+    ],
+    variants: &[
+        (
+            "wec-serve-stats-v1",
+            fields![queue: Obj(QUEUE_V1), cache: Obj(CACHE_SPLIT)],
+        ),
+        (
+            "wec-serve-stats-v2",
+            fields![
+                queue: Obj(fields![..QUEUE_V1, spec_depth: U64, spec_cap: U64]),
+                cache: Obj(CACHE_V2),
+                spec: Obj(SPEC),
+            ],
+        ),
+    ],
+};
+
+/// The ledger rules a serve-stats document and the router's cluster
+/// roll-up share: completions split exactly across the cache sources, and
+/// every started speculation is exactly one of hit, waste, cancelled, or
+/// still pending (an absent v1 ledger is all zeros).
+fn ledger_rules(v: &Json) -> Rule {
+    let split = total(at(v, "cache"), CACHE_V2)?;
+    let completed = int(at(v, "jobs"), "completed");
+    ensure!(split == completed, "cache sum != completed {completed}");
+    let sp = at(v, "spec");
+    let (outcomes, started) = (total(sp, SPEC_OUTCOMES)?, int(sp, "started"));
+    ensure!(outcomes == started, "spec outcomes != started {started}");
+    Ok(())
+}
+
+fn serve_stats_rules(v: &Json) -> Rule {
+    let (workers, busy) = (int(v, "workers"), int(v, "busy_workers"));
+    ensure!(workers > 0, "workers must be >= 1");
+    ensure!(busy <= workers, "busy_workers {busy} > workers {workers}");
+    let queue = at(v, "queue");
+    for (depth, cap) in [("depth", "cap"), ("spec_depth", "spec_cap")] {
+        let (d, c) = (int(queue, depth), int(queue, cap));
+        ensure!(d <= c, "queue {depth} {d} exceeds {cap} {c}");
+    }
+    let jobs = at(v, "jobs");
+    let (submitted, deduped) = (int(jobs, "submitted"), int(jobs, "deduped"));
+    ensure!(deduped <= submitted, "jobs deduped > submitted");
+    let ended = sum([int(jobs, "completed"), int(jobs, "failed")])?;
+    ensure!(ended <= submitted, "jobs completed + failed > submitted");
+    ledger_rules(v)?;
+    let (spec_hits, hit) = (int(at(v, "cache"), "spec_hits"), int(at(v, "spec"), "hit"));
+    ensure!(spec_hits <= hit, "cache.spec_hits > spec.hit {hit}");
+    within("throughput", fraction(at(v, "throughput"), "utilization"))
 }
 
 /// Validate a serve-stats document (the `GET /stats` payload and the
 /// server's exit-time `stats.json`): `wec-serve-stats-v1`, or the
 /// `wec-serve-stats-v2` superset a `--speculate` server emits.
 pub fn validate_serve_stats_json(text: &str) -> Result<(), String> {
-    let v = json::parse(text).map_err(|e| format!("stats.json: {e}"))?;
-    validate_serve_stats(&v, "stats.json")
+    validate_serve_stats(&parse(text, "stats.json")?, "stats.json")
 }
 
 /// Validate an already-parsed serve-stats value (v1 or v2) — the same
@@ -1075,180 +927,8 @@ pub fn validate_serve_stats_json(text: &str) -> Result<(), String> {
 /// one of hit, waste, cancelled, or still pending, and completions split
 /// exactly across `cold`/`disk_hits`/`mem_hits`/`spec_hits`.
 pub fn validate_serve_stats(v: &Json, ctx: &str) -> Result<(), String> {
-    let schema = require_str(v, "schema", ctx)?;
-    let v2 = match schema {
-        "wec-serve-stats-v1" => false,
-        "wec-serve-stats-v2" => true,
-        _ => return Err(format!("{ctx}: unknown schema {schema:?}")),
-    };
-    require_u64(v, "uptime_ms", ctx)?;
-    let workers = require_u64(v, "workers", ctx)?;
-    if workers == 0 {
-        return Err(format!("{ctx}: workers must be >= 1"));
-    }
-    let busy = require_u64(v, "busy_workers", ctx)?;
-    if busy > workers {
-        return Err(format!(
-            "{ctx}: busy_workers {busy} exceeds workers {workers}"
-        ));
-    }
-    v.get("draining")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing/invalid \"draining\""))?;
-    // Optional in both versions: only `--backend-id` daemons stamp it.
-    if v.get("backend_id").is_some() {
-        let b = require_str(v, "backend_id", ctx)?;
-        if b.is_empty() {
-            return Err(format!("{ctx}: \"backend_id\" must be non-empty"));
-        }
-    }
-    let top: &[&str] = if v2 {
-        &[
-            "schema",
-            "backend_id",
-            "uptime_ms",
-            "workers",
-            "busy_workers",
-            "draining",
-            "queue",
-            "jobs",
-            "cache",
-            "spec",
-            "throughput",
-        ]
-    } else {
-        &[
-            "schema",
-            "backend_id",
-            "uptime_ms",
-            "workers",
-            "busy_workers",
-            "draining",
-            "queue",
-            "jobs",
-            "cache",
-            "throughput",
-        ]
-    };
-    no_extra_fields(v, top, ctx)?;
-
-    let queue = v
-        .get("queue")
-        .ok_or_else(|| format!("{ctx}: missing \"queue\""))?;
-    let qctx = format!("{ctx} queue");
-    let depth = require_u64(queue, "depth", &qctx)?;
-    let cap = require_u64(queue, "cap", &qctx)?;
-    if depth > cap {
-        return Err(format!("{qctx}: depth {depth} exceeds cap {cap}"));
-    }
-    require_u64(queue, "rejected", &qctx)?;
-    if v2 {
-        let sdepth = require_u64(queue, "spec_depth", &qctx)?;
-        let scap = require_u64(queue, "spec_cap", &qctx)?;
-        if sdepth > scap {
-            return Err(format!(
-                "{qctx}: spec_depth {sdepth} exceeds spec_cap {scap}"
-            ));
-        }
-        no_extra_fields(
-            queue,
-            &["depth", "cap", "rejected", "spec_depth", "spec_cap"],
-            &qctx,
-        )?;
-    } else {
-        no_extra_fields(queue, &["depth", "cap", "rejected"], &qctx)?;
-    }
-
-    let jobs = v
-        .get("jobs")
-        .ok_or_else(|| format!("{ctx}: missing \"jobs\""))?;
-    let jctx = format!("{ctx} jobs");
-    let submitted = require_u64(jobs, "submitted", &jctx)?;
-    let deduped = require_u64(jobs, "deduped", &jctx)?;
-    let completed = require_u64(jobs, "completed", &jctx)?;
-    let failed = require_u64(jobs, "failed", &jctx)?;
-    if deduped > submitted {
-        return Err(format!(
-            "{jctx}: deduped {deduped} exceeds submitted {submitted}"
-        ));
-    }
-    if completed + failed > submitted {
-        return Err(format!(
-            "{jctx}: completed {completed} + failed {failed} exceeds submitted {submitted}"
-        ));
-    }
-    no_extra_fields(
-        jobs,
-        &["submitted", "deduped", "completed", "failed"],
-        &jctx,
-    )?;
-
-    let cache = v
-        .get("cache")
-        .ok_or_else(|| format!("{ctx}: missing \"cache\""))?;
-    let cctx = format!("{ctx} cache");
-    let cold = require_u64(cache, "cold", &cctx)?;
-    let disk = require_u64(cache, "disk_hits", &cctx)?;
-    let mem = require_u64(cache, "mem_hits", &cctx)?;
-    let spec_hits = if v2 {
-        let sh = require_u64(cache, "spec_hits", &cctx)?;
-        no_extra_fields(
-            cache,
-            &["cold", "disk_hits", "mem_hits", "spec_hits"],
-            &cctx,
-        )?;
-        sh
-    } else {
-        no_extra_fields(cache, &["cold", "disk_hits", "mem_hits"], &cctx)?;
-        0
-    };
-    if cold + disk + mem + spec_hits != completed {
-        return Err(format!(
-            "{cctx}: cold {cold} + disk {disk} + mem {mem} + spec {spec_hits} \
-             != completed {completed}"
-        ));
-    }
-
-    if v2 {
-        let sp = v
-            .get("spec")
-            .ok_or_else(|| format!("{ctx}: missing \"spec\""))?;
-        let sctx = format!("{ctx} spec");
-        let started = require_u64(sp, "started", &sctx)?;
-        let hit = require_u64(sp, "hit", &sctx)?;
-        require_u64(sp, "miss", &sctx)?;
-        let waste = require_u64(sp, "waste", &sctx)?;
-        let cancelled = require_u64(sp, "cancelled", &sctx)?;
-        let pending = require_u64(sp, "pending", &sctx)?;
-        if hit + waste + cancelled + pending != started {
-            return Err(format!(
-                "{sctx}: hit {hit} + waste {waste} + cancelled {cancelled} \
-                 + pending {pending} != started {started}"
-            ));
-        }
-        if spec_hits > hit {
-            return Err(format!(
-                "{sctx}: cache.spec_hits {spec_hits} exceeds spec.hit {hit}"
-            ));
-        }
-        no_extra_fields(
-            sp,
-            &["started", "hit", "miss", "waste", "cancelled", "pending"],
-            &sctx,
-        )?;
-    }
-
-    let tp = v
-        .get("throughput")
-        .ok_or_else(|| format!("{ctx}: missing \"throughput\""))?;
-    let tctx = format!("{ctx} throughput");
-    require_f64(tp, "jobs_per_sec", &tctx)?;
-    let util = require_f64(tp, "utilization", &tctx)?;
-    if !(0.0..=1.0).contains(&util) {
-        return Err(format!("{tctx}: utilization {util} out of [0,1]"));
-    }
-    no_extra_fields(tp, &["jobs_per_sec", "utilization"], &tctx)?;
-    Ok(())
+    check(v, Tagged(&SERVE_STATS), ctx, "")?;
+    within(ctx, serve_stats_rules(v))
 }
 
 /// What a validated `wec-router-stats-v1` document contained.
@@ -1262,11 +942,87 @@ pub struct RouterStatsReport {
     pub completed: u64,
 }
 
+const BACKEND_STATES: [&str; 3] = ["healthy", "draining", "dead"];
+
+/// A table of u64 counters with these names: the cluster roll-up counts
+/// backends per state.
+const fn counters<const N: usize>(names: [&'static str; N]) -> [Field; N] {
+    let mut out = [Open; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = Req(names[i], U64);
+        i += 1;
+    }
+    out
+}
+
+const ROUTER_STATS: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-router-stats-v1"),
+        uptime_ms: U64, draining: Bool,
+        router: Obj(fields![
+            requests: U64, proxied: U64, retries: U64, resharded: U64, rejected: U64,
+            hints_sent: U64, hints_accepted: U64,
+        ]),
+        backends: Arr(&Obj(fields![
+            id: NonEmpty, addr: Str, state: OneOf(&BACKEND_STATES),
+            consecutive_failures: U64, routed: U64,
+            // Absent when the backend was unreachable at scrape time.
+            stats?: Tagged(&SERVE_STATS),
+        ])),
+        cluster: Obj(fields![
+            backends: Obj(&counters(BACKEND_STATES)),
+            jobs: Obj(JOB_COUNTS),
+            cache: Obj(CACHE_V2),
+            // Present exactly when some backend speculates.
+            spec?: Obj(SPEC),
+            throughput: Obj(fields![jobs_per_sec: F64]),
+        ]),
+    ]),
+    rules: router_rules,
+};
+
+fn router_rules(v: &Json) -> Rule {
+    let router = at(v, "router");
+    let (sent, accepted) = (int(router, "hints_sent"), int(router, "hints_accepted"));
+    ensure!(accepted <= sent, "router hints_accepted > hints_sent");
+    let backends = array(v, "backends");
+    ensure!(!backends.is_empty(), "\"backends\" is empty");
+    let mut scraped = Vec::new();
+    for (i, b) in backends.iter().enumerate() {
+        if let Some(stats) = b.get("stats") {
+            within(format!("backends[{i}] stats"), serve_stats_rules(stats))?;
+            scraped.push(stats);
+        }
+    }
+    let cluster = at(v, "cluster");
+    for state in BACKEND_STATES {
+        let want = backends.iter().filter(|b| string(b, "state") == state);
+        let got = int(at(cluster, "backends"), state);
+        ensure!(
+            got == want.count() as u64,
+            "cluster backends: {state} mismatch"
+        );
+    }
+    let speculating = scraped.iter().any(|stats| stats.get("spec").is_some());
+    let has_spec = cluster.get("spec").is_some();
+    ensure!(speculating == has_spec, "cluster spec block mismatch");
+    // Every cluster counter is the sum of the backend ledgers (a v1
+    // backend contributes zero speculative hits).
+    for (block, fields) in [("jobs", JOB_COUNTS), ("cache", CACHE_V2), ("spec", SPEC)] {
+        for name in names(fields) {
+            let want = sum(scraped.iter().map(|stats| int(at(stats, block), name)))?;
+            let got = int(at(cluster, block), name);
+            ensure!(got == want, "cluster {block}.{name} != sum {want}");
+        }
+    }
+    within("cluster", ledger_rules(cluster))
+}
+
 /// Validate a `wec-router-stats-v1` document (the `wec_router` `GET
 /// /stats` payload and its drain-time `router.json`).
 pub fn validate_router_stats_json(text: &str) -> Result<RouterStatsReport, String> {
-    let v = json::parse(text).map_err(|e| format!("router.json: {e}"))?;
-    validate_router_stats(&v, "router.json")
+    validate_router_stats(&parse(text, "router.json")?, "router.json")
 }
 
 /// Validate an already-parsed `wec-router-stats-v1` value.  The document
@@ -1279,269 +1035,56 @@ pub fn validate_router_stats_json(text: &str) -> Result<RouterStatsReport, Strin
 /// iff any backend speculates, obeys `hit + waste + cancelled + pending
 /// == started` in aggregate.
 pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, String> {
-    let schema = require_str(v, "schema", ctx)?;
-    if schema != "wec-router-stats-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(v, "uptime_ms", ctx)?;
-    v.get("draining")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing/invalid \"draining\""))?;
-    no_extra_fields(
-        v,
-        &["schema", "uptime_ms", "draining", "router", "backends", "cluster"],
-        ctx,
-    )?;
-
-    let router = v
-        .get("router")
-        .ok_or_else(|| format!("{ctx}: missing \"router\""))?;
-    let rctx = format!("{ctx} router");
-    require_u64(router, "requests", &rctx)?;
-    require_u64(router, "proxied", &rctx)?;
-    require_u64(router, "retries", &rctx)?;
-    require_u64(router, "resharded", &rctx)?;
-    require_u64(router, "rejected", &rctx)?;
-    let hints_sent = require_u64(router, "hints_sent", &rctx)?;
-    let hints_accepted = require_u64(router, "hints_accepted", &rctx)?;
-    if hints_accepted > hints_sent {
-        return Err(format!(
-            "{rctx}: hints_accepted {hints_accepted} exceeds hints_sent {hints_sent}"
-        ));
-    }
-    no_extra_fields(
-        router,
-        &[
-            "requests",
-            "proxied",
-            "retries",
-            "resharded",
-            "rejected",
-            "hints_sent",
-            "hints_accepted",
-        ],
-        &rctx,
-    )?;
-
-    let Some(Json::Arr(backends)) = v.get("backends") else {
-        return Err(format!("{ctx}: missing/invalid \"backends\" array"));
-    };
-    if backends.is_empty() {
-        return Err(format!("{ctx}: \"backends\" is empty"));
-    }
-    // Sum the embedded backend ledgers; the cluster block must match.
-    let (mut healthy, mut draining_n, mut dead) = (0u64, 0u64, 0u64);
-    let mut scraped = 0u64;
-    let mut any_spec = false;
-    let mut sums = std::collections::HashMap::<&str, u64>::new();
-    for (i, b) in backends.iter().enumerate() {
-        let bctx = format!("{ctx} backends[{i}]");
-        let id = require_str(b, "id", &bctx)?;
-        if id.is_empty() {
-            return Err(format!("{bctx}: \"id\" must be non-empty"));
-        }
-        require_str(b, "addr", &bctx)?;
-        match require_str(b, "state", &bctx)? {
-            "healthy" => healthy += 1,
-            "draining" => draining_n += 1,
-            "dead" => dead += 1,
-            other => return Err(format!("{bctx}: unknown state {other:?}")),
-        }
-        require_u64(b, "consecutive_failures", &bctx)?;
-        require_u64(b, "routed", &bctx)?;
-        no_extra_fields(
-            b,
-            &["id", "addr", "state", "consecutive_failures", "routed", "stats"],
-            &bctx,
-        )?;
-        let Some(stats) = b.get("stats") else {
-            continue; // unreachable at scrape time; not in the roll-up
-        };
-        validate_serve_stats(stats, &format!("{bctx} stats"))?;
-        scraped += 1;
-        let jobs = stats.get("jobs").expect("validated above");
-        let cache = stats.get("cache").expect("validated above");
-        for (block, key) in [
-            (jobs, "submitted"),
-            (jobs, "deduped"),
-            (jobs, "completed"),
-            (jobs, "failed"),
-            (cache, "cold"),
-            (cache, "disk_hits"),
-            (cache, "mem_hits"),
-        ] {
-            *sums.entry(key).or_default() += block.get(key).and_then(Json::as_u64).unwrap_or(0);
-        }
-        // v1 backends contribute zero speculative hits.
-        *sums.entry("spec_hits").or_default() +=
-            cache.get("spec_hits").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(sp) = stats.get("spec") {
-            any_spec = true;
-            for key in ["started", "hit", "miss", "waste", "cancelled", "pending"] {
-                *sums.entry(key).or_default() += sp.get(key).and_then(Json::as_u64).unwrap_or(0);
-            }
-        }
-    }
-
-    let cluster = v
-        .get("cluster")
-        .ok_or_else(|| format!("{ctx}: missing \"cluster\""))?;
-    let cl = format!("{ctx} cluster");
-    let allowed: &[&str] = if any_spec {
-        &["backends", "jobs", "cache", "spec", "throughput"]
-    } else {
-        &["backends", "jobs", "cache", "throughput"]
-    };
-    no_extra_fields(cluster, allowed, &cl)?;
-    let cb = cluster
-        .get("backends")
-        .ok_or_else(|| format!("{cl}: missing \"backends\""))?;
-    let cbctx = format!("{cl} backends");
-    for (key, want) in [("healthy", healthy), ("draining", draining_n), ("dead", dead)] {
-        let got = require_u64(cb, key, &cbctx)?;
-        if got != want {
-            return Err(format!(
-                "{cbctx}: {key} {got} but the backends array counts {want}"
-            ));
-        }
-    }
-    no_extra_fields(cb, &["healthy", "draining", "dead"], &cbctx)?;
-
-    let jobs = cluster
-        .get("jobs")
-        .ok_or_else(|| format!("{cl}: missing \"jobs\""))?;
-    let jctx = format!("{cl} jobs");
-    for key in ["submitted", "deduped", "completed", "failed"] {
-        let got = require_u64(jobs, key, &jctx)?;
-        let want = sums.get(key).copied().unwrap_or(0);
-        if got != want {
-            return Err(format!(
-                "{jctx}: {key} {got} != sum of backend ledgers {want}"
-            ));
-        }
-    }
-    no_extra_fields(jobs, &["submitted", "deduped", "completed", "failed"], &jctx)?;
-
-    let cache = cluster
-        .get("cache")
-        .ok_or_else(|| format!("{cl}: missing \"cache\""))?;
-    let cctx = format!("{cl} cache");
-    for key in ["cold", "disk_hits", "mem_hits", "spec_hits"] {
-        let got = require_u64(cache, key, &cctx)?;
-        let want = sums.get(key).copied().unwrap_or(0);
-        if got != want {
-            return Err(format!(
-                "{cctx}: {key} {got} != sum of backend ledgers {want}"
-            ));
-        }
-    }
-    no_extra_fields(
-        cache,
-        &["cold", "disk_hits", "mem_hits", "spec_hits"],
-        &cctx,
-    )?;
-    // The cluster-level form of the serve ledger invariant: the summed
-    // source split covers every completed job exactly once.
-    let completed = require_u64(jobs, "completed", &jctx)?;
-    let split = ["cold", "disk_hits", "mem_hits", "spec_hits"]
-        .iter()
-        .map(|k| sums.get(*k).copied().unwrap_or(0))
-        .sum::<u64>();
-    if split != completed {
-        return Err(format!(
-            "{cl}: cache sources sum to {split} but completed is {completed}"
-        ));
-    }
-
-    if any_spec {
-        let sp = cluster
-            .get("spec")
-            .ok_or_else(|| format!("{cl}: speculating backends but no \"spec\" block"))?;
-        let sctx = format!("{cl} spec");
-        for key in ["started", "hit", "miss", "waste", "cancelled", "pending"] {
-            let got = require_u64(sp, key, &sctx)?;
-            let want = sums.get(key).copied().unwrap_or(0);
-            if got != want {
-                return Err(format!(
-                    "{sctx}: {key} {got} != sum of backend ledgers {want}"
-                ));
-            }
-        }
-        let (started, hit, waste, cancelled, pending) = (
-            require_u64(sp, "started", &sctx)?,
-            require_u64(sp, "hit", &sctx)?,
-            require_u64(sp, "waste", &sctx)?,
-            require_u64(sp, "cancelled", &sctx)?,
-            require_u64(sp, "pending", &sctx)?,
-        );
-        if hit + waste + cancelled + pending != started {
-            return Err(format!(
-                "{sctx}: hit {hit} + waste {waste} + cancelled {cancelled} \
-                 + pending {pending} != started {started}"
-            ));
-        }
-        no_extra_fields(
-            sp,
-            &["started", "hit", "miss", "waste", "cancelled", "pending"],
-            &sctx,
-        )?;
-    } else if cluster.get("spec").is_some() {
-        return Err(format!(
-            "{cl}: \"spec\" block without any speculating backend"
-        ));
-    }
-
-    let tp = cluster
-        .get("throughput")
-        .ok_or_else(|| format!("{cl}: missing \"throughput\""))?;
-    let tctx = format!("{cl} throughput");
-    require_f64(tp, "jobs_per_sec", &tctx)?;
-    no_extra_fields(tp, &["jobs_per_sec"], &tctx)?;
-
+    ROUTER_STATS.validate(v, ctx)?;
+    let backends = array(v, "backends");
     Ok(RouterStatsReport {
         backends: backends.len() as u64,
-        scraped,
-        completed,
+        scraped: backends.iter().filter(|b| b.get("stats").is_some()).count() as u64,
+        completed: int(at(at(v, "cluster"), "jobs"), "completed"),
     })
 }
 
-/// Validate an `access.jsonl` stream (`wec-access-log-v1`): one line per
-/// answered HTTP request.  Timestamps are *not* required monotonic —
-/// concurrent connections finish out of order.  Parse-failure lines are
-/// logged with method `"-"`, path `"-"`, status 400, so those pass too.
-/// Returns the request count.
-pub fn validate_access_jsonl(text: &str) -> Result<u64, String> {
-    let mut total = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("access.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
+const DASHBOARD: Schema = Schema {
+    shape: Obj(fields![
+        schema: Tag("wec-dashboard-data-v1"),
+        now_ms: U64, stats: Tagged(&SERVE_STATS),
+        samples: Arr(&Obj(fields![
+            t_ms: U64, queue_depth: U64, busy_workers: U64, outstanding: U64,
+            jobs_per_sec: F64, dedup_hit_rate: F64, kcycles_per_sec: F64,
+            // Present only when the sampled server runs --speculate.
+            spec_hit_rate?: F64,
+        ])),
+        http: Arr(&Obj(fields![
+            endpoint: NonEmpty, ..BUCKETED,
+            mean_us: F64, p50_us: U64, p99_us: U64, max_us: U64,
+        ])),
+        jobs: Arr(&Obj(fields![..JOB_ROW, has_attr: Bool])),
+    ]),
+    rules: |v| {
+        within("stats", serve_stats_rules(at(v, "stats")))?;
+        let mut last = 0u64;
+        for (i, sample) in array(v, "samples").iter().enumerate() {
+            let t = int(sample, "t_ms");
+            ensure!(t >= last, "samples[{i}]: t_ms {t} went backwards");
+            last = t;
+            for key in ["jobs_per_sec", "kcycles_per_sec"] {
+                let r = float(sample, key);
+                ensure!(r.is_finite() && r >= 0.0, "samples[{i}]: bad {key}");
+            }
+            for key in ["dedup_hit_rate", "spec_hit_rate"] {
+                within(format!("samples[{i}]"), fraction(sample, key))?;
+            }
         }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        require_u64(&v, "t_ms", &ctx)?;
-        let method = require_str(&v, "method", &ctx)?;
-        if method.is_empty() {
-            return Err(format!("{ctx}: empty method"));
+        for (i, h) in array(v, "http").iter().enumerate() {
+            let (p50, p99, max) = (int(h, "p50_us"), int(h, "p99_us"), int(h, "max_us"));
+            ensure!(p50 <= p99 && p99 <= max, "http[{i}]: quantile order");
         }
-        let path = require_str(&v, "path", &ctx)?;
-        if path.is_empty() {
-            return Err(format!("{ctx}: empty path"));
+        for (i, j) in array(v, "jobs").iter().enumerate() {
+            within(format!("jobs[{i}]"), job_row_rules(j))?;
         }
-        let status = require_u64(&v, "status", &ctx)?;
-        if !(100..=599).contains(&status) {
-            return Err(format!("{ctx}: status {status} out of 100..=599"));
-        }
-        require_u64(&v, "dur_us", &ctx)?;
-        require_u64(&v, "bytes", &ctx)?;
-        no_extra_fields(
-            &v,
-            &["t_ms", "method", "path", "status", "dur_us", "bytes"],
-            &ctx,
-        )?;
-        total += 1;
-    }
-    Ok(total)
-}
+        Ok(())
+    },
+};
 
 /// Validate a `wec-dashboard-data-v1` document (the `GET /dashboard/data`
 /// payload): the embedded stats snapshot, the sampler ring (t_ms
@@ -1549,182 +1092,9 @@ pub fn validate_access_jsonl(text: &str) -> Result<u64, String> {
 /// latency digests (bucket counts sum to the digest count), and the slim
 /// recent-job rows.  Returns the number of ring samples.
 pub fn validate_dashboard_data_json(text: &str) -> Result<usize, String> {
-    let v = json::parse(text).map_err(|e| format!("dashboard.json: {e}"))?;
-    let ctx = "dashboard.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-dashboard-data-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(&v, "now_ms", ctx)?;
-    no_extra_fields(
-        &v,
-        &["schema", "now_ms", "stats", "samples", "http", "jobs"],
-        ctx,
-    )?;
-
-    let stats = v
-        .get("stats")
-        .ok_or_else(|| format!("{ctx}: missing \"stats\""))?;
-    validate_serve_stats(stats, "dashboard.json stats")?;
-
-    let samples = v
-        .get("samples")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"samples\" array"))?;
-    let mut last_t = 0u64;
-    for (i, s) in samples.iter().enumerate() {
-        let sctx = format!("dashboard.json samples[{i}]");
-        let t = require_u64(s, "t_ms", &sctx)?;
-        if t < last_t {
-            return Err(format!("{sctx}: t_ms {t} went backwards from {last_t}"));
-        }
-        last_t = t;
-        require_u64(s, "queue_depth", &sctx)?;
-        require_u64(s, "busy_workers", &sctx)?;
-        require_u64(s, "outstanding", &sctx)?;
-        for key in ["jobs_per_sec", "kcycles_per_sec"] {
-            let r = require_f64(s, key, &sctx)?;
-            if !r.is_finite() || r < 0.0 {
-                return Err(format!("{sctx}: {key} {r} is not a finite rate"));
-            }
-        }
-        let dedup = require_f64(s, "dedup_hit_rate", &sctx)?;
-        if !(0.0..=1.0).contains(&dedup) {
-            return Err(format!("{sctx}: dedup_hit_rate {dedup} out of [0,1]"));
-        }
-        // Present only when the sampled server runs with --speculate.
-        if let Some(shr) = s.get("spec_hit_rate") {
-            let shr = shr
-                .as_f64()
-                .ok_or_else(|| format!("{sctx}: spec_hit_rate is not a number"))?;
-            if !(0.0..=1.0).contains(&shr) {
-                return Err(format!("{sctx}: spec_hit_rate {shr} out of [0,1]"));
-            }
-        }
-        no_extra_fields(
-            s,
-            &[
-                "t_ms",
-                "queue_depth",
-                "busy_workers",
-                "outstanding",
-                "jobs_per_sec",
-                "dedup_hit_rate",
-                "kcycles_per_sec",
-                "spec_hit_rate",
-            ],
-            &sctx,
-        )?;
-    }
-
-    let http = v
-        .get("http")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"http\" array"))?;
-    for (i, h) in http.iter().enumerate() {
-        let hctx = format!("dashboard.json http[{i}]");
-        let endpoint = require_str(h, "endpoint", &hctx)?;
-        if endpoint.is_empty() {
-            return Err(format!("{hctx}: empty endpoint"));
-        }
-        let count = require_u64(h, "count", &hctx)?;
-        require_f64(h, "mean_us", &hctx)?;
-        let p50 = require_u64(h, "p50_us", &hctx)?;
-        let p99 = require_u64(h, "p99_us", &hctx)?;
-        let max = require_u64(h, "max_us", &hctx)?;
-        if p50 > p99 || p99 > max {
-            return Err(format!(
-                "{hctx}: quantiles out of order (p50 {p50}, p99 {p99}, max {max})"
-            ));
-        }
-        let buckets = h
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{hctx}: missing \"buckets\" array"))?;
-        let mut total = 0u64;
-        for b in buckets {
-            let pair = b
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("{hctx}: bucket not a pair"))?;
-            total += pair[1]
-                .as_u64()
-                .ok_or_else(|| format!("{hctx}: non-integer bucket count"))?;
-        }
-        if total != count {
-            return Err(format!(
-                "{hctx}: buckets sum to {total}, count says {count}"
-            ));
-        }
-        no_extra_fields(
-            h,
-            &[
-                "endpoint", "count", "mean_us", "p50_us", "p99_us", "max_us", "buckets",
-            ],
-            &hctx,
-        )?;
-    }
-
-    let jobs = v
-        .get("jobs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"jobs\" array"))?;
-    for (i, j) in jobs.iter().enumerate() {
-        let jctx = format!("dashboard.json jobs[{i}]");
-        require_u64(j, "id", &jctx)?;
-        let kind = require_str(j, "kind", &jctx)?;
-        if !["sim", "replay"].contains(&kind) {
-            return Err(format!("{jctx}: unknown kind {kind:?}"));
-        }
-        require_str(j, "bench", &jctx)?;
-        require_str(j, "cfg", &jctx)?;
-        let state = require_str(j, "state", &jctx)?;
-        if !["queued", "running", "done", "failed", "cancelled"].contains(&state) {
-            return Err(format!("{jctx}: unknown state {state:?}"));
-        }
-        let source = require_str(j, "source", &jctx)?;
-        if !["none", "cold", "disk", "mem", "spec"].contains(&source) {
-            return Err(format!("{jctx}: unknown source {source:?}"));
-        }
-        let speculative = match j.get("speculative") {
-            None => false,
-            Some(Json::Bool(true)) => true,
-            Some(_) => {
-                return Err(format!(
-                    "{jctx}: \"speculative\" must be true when present"
-                ))
-            }
-        };
-        let submissions = require_u64(j, "submissions", &jctx)?;
-        if submissions == 0 && !speculative {
-            return Err(format!("{jctx}: submissions must be >= 1"));
-        }
-        require_u64(j, "worker", &jctx)?;
-        require_u64(j, "dur_ms", &jctx)?;
-        require_u64(j, "sim_cycles", &jctx)?;
-        j.get("has_attr")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("{jctx}: missing boolean \"has_attr\""))?;
-        no_extra_fields(
-            j,
-            &[
-                "id",
-                "kind",
-                "bench",
-                "cfg",
-                "state",
-                "source",
-                "submissions",
-                "worker",
-                "dur_ms",
-                "sim_cycles",
-                "has_attr",
-                "speculative",
-            ],
-            &jctx,
-        )?;
-    }
-    Ok(samples.len())
+    let v = parse(text, "dashboard.json")?;
+    DASHBOARD.validate(&v, "dashboard.json")?;
+    Ok(array(&v, "samples").len())
 }
 
 #[cfg(test)]
@@ -2039,14 +1409,19 @@ mod tests {
         // submissions and source "spec"; a reclaimed one is "cancelled".
         let spec_done = job_record("done", "spec", "", "{\"cycles\":48000}")
             .replace("\"submissions\":2", "\"submissions\":0")
-            .replace("\"sim_cycles\":48000", "\"sim_cycles\":48000,\"speculative\":true");
+            .replace(
+                "\"sim_cycles\":48000",
+                "\"sim_cycles\":48000,\"speculative\":true",
+            );
         validate_job_record(&json::parse(&spec_done).unwrap(), "t").unwrap();
         let spec_cancelled = job_record("cancelled", "none", "", "{}")
             .replace("\"submissions\":2", "\"submissions\":0")
-            .replace("\"sim_cycles\":48000", "\"sim_cycles\":48000,\"speculative\":true");
+            .replace(
+                "\"sim_cycles\":48000",
+                "\"sim_cycles\":48000,\"speculative\":true",
+            );
         validate_job_record(&json::parse(&spec_cancelled).unwrap(), "t").unwrap();
-        let report =
-            validate_jobs_jsonl(&format!("{spec_done}\n{spec_cancelled}\n")).unwrap();
+        let report = validate_jobs_jsonl(&format!("{spec_done}\n{spec_cancelled}\n")).unwrap();
         assert_eq!(
             report,
             JobsReport {
